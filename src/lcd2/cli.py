@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Commands: bound, check, construct, enumerate, classify, census, verify.
-Every command accepts --format {text,json,csv}, --jobs N and --seed S.
+Every command accepts --format {text,json,csv} and --jobs N; --jobs (and
+the LCD2_JOBS environment variable) is validated for compatibility and
+has no effect, since the census runs in one process.
 Exit codes: 0 on success, 1 when verification finds a failing check,
-2 on usage or parse errors.
+2 on usage or parse errors and on census requests over the work budget.
 """
 
 from __future__ import annotations
@@ -34,14 +36,7 @@ def _common_options() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="worker processes for census/classify (default: LCD2_JOBS or CPU count)",
-    )
-    common.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        metavar="S",
-        help="seed for randomized helpers; the shipped commands are deterministic",
+        help="accepted for compatibility; has no effect (default: LCD2_JOBS or CPU count)",
     )
     return common
 

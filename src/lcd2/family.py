@@ -119,6 +119,14 @@ def _require_reduced(a: ATuple, d: int) -> None:
         )
 
 
+def _parity_condition(b3: int, b4: int, b5: int, d: int) -> bool:
+    """Parity part of the LCD test in b-coordinates, for minimum weight d."""
+    prods = b3 * b4 + b4 * b5 + b5 * b3
+    if d % 2 == 0:
+        return (b3 + b4 + b5 + prods) % 2 != 0
+    return prods % 2 != 0
+
+
 def check_lcd_conditions_a(a: ATuple, n: int, d: int) -> bool:
     """LCD test in a-coordinates for a reduced tuple of an [n, 2, d] code.
 
@@ -135,10 +143,7 @@ def check_lcd_conditions_a(a: ATuple, n: int, d: int) -> bool:
         return False
     if a.a3 > t or a.a4 > t or a.a5 > t:
         return False
-    prods = a.a3 * a.a4 + a.a4 * a.a5 + a.a5 * a.a3
-    if d % 2 == 0:
-        return (a.a3 + a.a4 + a.a5 + prods) % 2 != 0
-    return prods % 2 != t % 2
+    return _parity_condition(t - a.a3, t - a.a4, t - a.a5, d)
 
 
 def check_lcd_conditions_b(b: BTuple, d: int | None = None) -> bool:
@@ -151,10 +156,7 @@ def check_lcd_conditions_b(b: BTuple, d: int | None = None) -> bool:
         return False
     if b.b3 < 0 or b.b4 < 0 or b.b5 < 0:
         return False
-    prods = b.b3 * b.b4 + b.b4 * b.b5 + b.b5 * b.b3
-    if d % 2 == 0:
-        return (b.b3 + b.b4 + b.b5 + prods) % 2 != 0
-    return prods % 2 != 0
+    return _parity_condition(b.b3, b.b4, b.b5, d)
 
 
 def enumerate_optimal(n: int) -> list[ATuple]:
@@ -173,11 +175,7 @@ def enumerate_optimal(n: int) -> list[ATuple]:
     for b3 in range(dl + 1):
         for b4 in range(b3, dl + 1):
             for b5 in range(b3, dl + 1):
-                prods = b3 * b4 + b4 * b5 + b5 * b3
-                if d % 2 == 0:
-                    if (b3 + b4 + b5 + prods) % 2 == 0:
-                        continue
-                elif prods % 2 == 0:
+                if not _parity_condition(b3, b4, b5, d):
                     continue
                 b2 = dl + 1 - (b3 + b4 + b5)
                 if b2 < 1:

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -12,6 +13,7 @@ from lcd2.classify import (
     EQUIV_CHAINS,
     EquivClass,
     MultVector,
+    _iter_compositions,
     _lcd_from_mult,
     _min_weight_from_mult,
     are_equivalent,
@@ -105,6 +107,51 @@ def test_canonical_form_is_idempotent_and_orbit_constant():
         p = rng.choice(perms)
         image = MultVector(mv.m0, tuple(mv.mp[p[i]] for i in range(5)))
         assert canonical_form(image) == canon
+
+
+def test_closed_forms_match_the_group_minimum():
+    # Reference: the lexicographic minimum over all 60 induced permutations.
+    perms = induced_point_permutations()
+    for t in range(15):
+        for mp in _iter_compositions(t):
+            images = [tuple(mp[p[i]] for i in range(5)) for p in perms]
+            mv = MultVector(3, mp)
+            assert canonical_form(mv) == MultVector(3, min(images)), mp
+            if not mv.spans():
+                with pytest.raises(ValueError):
+                    representative_atuple(mv)
+                continue
+            best = min(img for img in images if img[0] >= 1 and img[1] >= 1)
+            expected = ATuple(best[1] - 1, best[0] - 1, best[2], best[3], best[4], a0=3)
+            assert representative_atuple(mv) == expected, mp
+
+
+def _a5_orbits(t):
+    """Burnside count of A5-orbits on the 5-part compositions of t."""
+    fixed_221 = sum(s + 1 for s in range(t // 2 + 1))  # 2a + 2b + c = t
+    fixed_311 = sum(t - 3 * a + 1 for a in range(t // 3 + 1))  # 3a + b + c = t
+    fixed_5 = 1 if t % 5 == 0 else 0
+    total = math.comb(t + 4, 4) + 15 * fixed_221 + 20 * fixed_311 + 24 * fixed_5
+    assert total % 60 == 0
+    return total // 60
+
+
+def test_census_all_matches_burnside_count():
+    # One orbit per length has a single point type (rank < 2).
+    for n in (*range(2, 13), 60, 100, 150):
+        assert len(census(n, "all")) == _a5_orbits(n) - 1, n
+    n = 50
+    expected = sum(_a5_orbits(n - m0) - 1 for m0 in range(n - 1))
+    assert len(census(n, "all", include_zero_columns=True)) == expected
+
+
+def test_census_refuses_walks_over_budget():
+    with pytest.raises(ValueError, match="budget"):
+        census(162, "all")
+    with pytest.raises(ValueError, match="budget"):
+        census(79, "optimal_lcd", include_zero_columns=True)
+    with pytest.raises(ValueError, match="budget"):
+        classify_optimal(4096)
 
 
 def test_are_equivalent_on_chain_links():
