@@ -18,9 +18,14 @@ length, adds the mirror image of every partition with distinct parts,
 and filters (all / Hermitian LCD / distance-optimal Hermitian LCD) from
 the multiplicities alone.  Minimum weight is n - m0 - max(mp) (each
 nonzero message class zeroes exactly one point type), and the Gram
-determinant reduces to a parity formula in the multiplicities.  The
-``enumerate`` method recomputes everything from actual codewords and
-serves as the cross-validating oracle.
+determinant reduces to a parity formula in the multiplicities.  Since
+the largest part of an optimal code is n - m0 - dmax(n), the
+distance-optimal census walks only the partitions with that largest
+part: at most 11 of them over at most 2 values of m0, at any length.
+The ``all`` and ``lcd`` walks grow as n^4 (n^5 with zero columns) and
+are capped by ``CENSUS_BUDGET``.  The ``enumerate`` method recomputes
+everything from actual codewords and serves as the cross-validating
+oracle.
 
 ``verify_classification`` replays the known classification data
 (catalog, equivalence chains, weight enumerator forms, class counts)
@@ -198,13 +203,14 @@ def representative_atuple(mv: MultVector) -> ATuple:
 # ---------------------------------------------------------------------------
 # census: orderly partition walk and enumerated oracle path
 
-# Largest walk the fast census accepts, in partitions.  The walk is
-# estimated by C(t+4, 4)/120 summed over t = n - m0: the identity term of
-# the Burnside count of sorted 5-part partitions of t, which the exact
-# count exceeds by 14% at n = 150 and by 26% at n = 100 with zero columns.
-# The budget admits n <= 161, or n <= 78 with zero columns; census(150,
-# "all") walks 213k partitions into 378k classes (6 s and 344 MB peak
-# RSS on a 2-vCPU x86-64 machine).
+# Largest walk the fast ``all`` and ``lcd`` census accepts, in partitions.
+# The walk is estimated by C(t+4, 4)/120 summed over t = n - m0: the
+# identity term of the Burnside count of sorted 5-part partitions of t,
+# which the exact count exceeds by 14% at n = 150 and by 26% at n = 100
+# with zero columns.  The budget admits n <= 161, or n <= 78 with zero
+# columns; census(150, "all") walks 213k partitions into 378k classes (6 s
+# and 344 MB peak RSS on a 2-vCPU x86-64 machine).  The ``optimal_lcd``
+# walk is a window of at most 11 partitions and needs no budget.
 CENSUS_BUDGET = 250_000
 
 
@@ -261,34 +267,51 @@ def _sorted_parts(t: int):
                     yield (p0, p1, p2, p3, r2 - p3)
 
 
+def _window_parts(t: int, top: int):
+    """Nondecreasing 5-part partitions of t whose largest part is top."""
+    s = t - top
+    for p0 in range(max(0, s - 3 * top), s // 4 + 1):
+        r0 = s - p0
+        for p1 in range(max(p0, r0 - 2 * top), r0 // 3 + 1):
+            r1 = r0 - p1
+            for p2 in range(max(p1, r1 - top), r1 // 2 + 1):
+                yield (p0, p1, p2, r1 - p2, top)
+
+
 def _census_fast(n: int, filt: str, include_zero_columns: bool) -> list[EquivClass]:
     """Orderly generation: every canonical form is produced exactly once.
 
     The canonical forms with m0 zero columns are the sorted partitions of
     n - m0 plus, for each partition with five distinct parts, its mirror
     with the last two parts swapped (the other A5 orbit of that multiset).
+    An optimal code has largest part n - m0 - dmax(n) and its four other
+    parts sum to dmax(n), so ``optimal_lcd`` walks only that window, and
+    only the m0 that leave the largest part at least dmax(n)/4.
     """
-    # C(t+4, 4)/120 over the walked t = n - m0; t = 2..n sums by the
-    # hockey-stick identity.
-    if include_zero_columns:
-        estimate = (math.comb(n + 5, 5) - 6) // 120
+    if filt == "optimal_lcd":
+        d_opt = dmax(n)
+        m0_last = n - d_opt - (d_opt + 3) // 4 if include_zero_columns else 0
     else:
-        estimate = math.comb(n + 4, 4) // 120
-    if estimate > CENSUS_BUDGET:
-        raise ValueError(
-            f"census of length {n} would walk about {estimate} partitions, "
-            f"above the budget of {CENSUS_BUDGET}"
-        )
-    d_opt = dmax(n)
+        # C(t+4, 4)/120 over the walked t = n - m0; t = 2..n sums by the
+        # hockey-stick identity.
+        if include_zero_columns:
+            estimate = (math.comb(n + 5, 5) - 6) // 120
+        else:
+            estimate = math.comb(n + 4, 4) // 120
+        if estimate > CENSUS_BUDGET:
+            raise ValueError(
+                f"census of length {n} would walk about {estimate} partitions, "
+                f"above the budget of {CENSUS_BUDGET}"
+            )
+        d_opt = None
+        m0_last = n - 2 if include_zero_columns else 0
     classes = []
-    for m0 in range(n - 1) if include_zero_columns else (0,):
+    for m0 in range(m0_last + 1):
         t = n - m0
         forms = []
-        for p in _sorted_parts(t):
+        for p in _sorted_parts(t) if d_opt is None else _window_parts(t, t - d_opt):
             if p[3] == 0:
                 continue  # one point type only: rank < 2
-            if filt == "optimal_lcd" and t - p[4] != d_opt:
-                continue
             forms.append(p)
             if p[0] < p[1] < p[2] < p[3] < p[4]:
                 forms.append((p[0], p[1], p[2], p[4], p[3]))
@@ -346,8 +369,10 @@ def census(
     unless ``include_zero_columns``) of rank 2 that passes the filter,
     one class per canonical form, sorted by (m0, canonical mp).  The
     default method walks the canonical forms directly and computes d,
-    the weight enumerator and the LCD test from the multiplicities; it
-    raises ValueError when its walk estimate exceeds ``CENSUS_BUDGET``.
+    the weight enumerator and the LCD test from the multiplicities.  For
+    ``all`` and ``lcd`` it raises ValueError when its walk estimate
+    exceeds ``CENSUS_BUDGET``; ``optimal_lcd`` walks only the partitions
+    whose largest part is n - m0 - dmax(n), at most 11 at any length.
     ``method="enumerate"`` rebuilds every code and measures it from its
     codewords, as the cross-checking oracle.  ``jobs`` is accepted for
     compatibility and has no effect.
@@ -622,17 +647,34 @@ def _check_headline(
     return CheckResult("THM", n, ok, detail)
 
 
+# Largest T3 workload ``verify_classification`` accepts, in generator
+# columns.  T3 builds the representative codes of every length and
+# computes their weight enumerators in time linear in the length: 11
+# codes per five lengths, so about
+# 11 * n_max * (n_max + 1) / 10 columns in all.  The budget admits
+# n_max <= 1999 (4 s on a 2-vCPU x86-64 machine); every other check costs
+# the same at each length.
+VERIFY_BUDGET = 4_400_000
+
+
 def verify_classification(n_max: int, jobs: int = 1) -> VerificationReport:
     """Re-derive and cross-check the known classification up to n_max.
 
     Runs, for every n in 2..n_max: T1 catalog vs fresh enumeration, T2
     equivalence-chain collapse, T3 weight enumerator forms, T4 class
     counts against the census (with and without zero columns), and THM
-    headline counts where applicable.  Failures become report entries,
-    never exceptions.
+    headline counts where applicable.  A failing check becomes a report
+    entry; n_max < 7, or a T3 estimate above ``VERIFY_BUDGET``, raises
+    ValueError before any check runs.
     """
     if n_max < 7:
         raise ValueError(f"n_max must be >= 7, got {n_max}")
+    estimate = 11 * n_max * (n_max + 1) // 10
+    if estimate > VERIFY_BUDGET:
+        raise ValueError(
+            f"verify up to n_max = {n_max} would build about {estimate} generator "
+            f"columns, above the budget of {VERIFY_BUDGET}"
+        )
     checks: list[CheckResult] = []
     for n in range(2, n_max + 1):
         checks.append(_check_catalog(n))

@@ -5,7 +5,8 @@ Every command accepts --format {text,json,csv} and --jobs N; --jobs (and
 the LCD2_JOBS environment variable) is validated for compatibility and
 has no effect, since the census runs in one process.
 Exit codes: 0 on success, 1 when verification finds a failing check,
-2 on usage or parse errors and on census requests over the work budget.
+2 on usage or parse errors and on census or verify requests over the
+work budget.
 """
 
 from __future__ import annotations

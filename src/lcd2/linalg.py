@@ -106,21 +106,6 @@ def conj_transpose(m: Mat) -> Mat:
     )
 
 
-def matmul(a: Mat, b: Mat) -> Mat:
-    if a.ncols != b.nrows:
-        raise ValueError(f"shape mismatch: {a.nrows}x{a.ncols} @ {b.nrows}x{b.ncols}")
-    out = []
-    for i in range(a.nrows):
-        row = []
-        for j in range(b.ncols):
-            acc = 0
-            for t in range(a.ncols):
-                acc ^= gf4.MUL[a.rows[i][t]][b.rows[t][j]]
-            row.append(acc)
-        out.append(tuple(row))
-    return Mat(tuple(out), b.ncols)
-
-
 def gram(m: Mat) -> Mat:
     """Hermitian Gram matrix G * conj(G)^T (k x k)."""
     k = m.nrows

@@ -13,7 +13,23 @@ import random
 
 from lcd2 import gf4
 from lcd2.code import LinearCode
-from lcd2.linalg import Mat, mat, matmul
+from lcd2.linalg import Mat, mat
+
+
+def matmul(a: Mat, b: Mat) -> Mat:
+    """Schoolbook product over GF(4)."""
+    if a.ncols != b.nrows:
+        raise ValueError(f"shape mismatch: {a.nrows}x{a.ncols} @ {b.nrows}x{b.ncols}")
+    out = []
+    for i in range(a.nrows):
+        row = []
+        for j in range(b.ncols):
+            acc = 0
+            for t in range(a.ncols):
+                acc ^= gf4.MUL[a.rows[i][t]][b.rows[t][j]]
+            row.append(acc)
+        out.append(tuple(row))
+    return Mat(tuple(out), b.ncols)
 
 
 def brute_codewords(gen: Mat) -> list[tuple[int, ...]]:

@@ -35,7 +35,7 @@ from lcd2.code import (
     min_weight,
     weight_enumerator,
 )
-from lcd2.family import ATuple, build_generator, family_catalog, family_tuples
+from lcd2.family import ATuple, build_generator, dmax, family_catalog, family_tuples
 from lcd2.linalg import identity, mat
 
 
@@ -149,9 +149,29 @@ def test_census_refuses_walks_over_budget():
     with pytest.raises(ValueError, match="budget"):
         census(162, "all")
     with pytest.raises(ValueError, match="budget"):
-        census(79, "optimal_lcd", include_zero_columns=True)
-    with pytest.raises(ValueError, match="budget"):
-        classify_optimal(4096)
+        census(79, "lcd", include_zero_columns=True)
+
+
+def test_optimal_window_equals_full_lcd_walk():
+    # The full walk, filtered to d = dmax(n), stays the cross-check.
+    cases = [(n, z) for n in range(2, 46) for z in (False, True)]
+    cases += [(100, False), (161, False)]
+    for n, z in cases:
+        d = dmax(n)
+        full = [c for c in census(n, "lcd", include_zero_columns=z) if c.d == d]
+        assert census(n, "optimal_lcd", include_zero_columns=z) == full, (n, z)
+
+
+def test_classify_optimal_at_large_lengths():
+    for n in (*range(10**6, 10**6 + 10), *range(10**9, 10**9 + 5)):
+        plain = classify_optimal(n)
+        assert len(plain) == expected_optimal_class_count(n), n
+        assert all(c.label is not None and not c.zero_col for c in plain), n
+        with_zero = classify_optimal(n, include_zero_columns=True)
+        zero_classes = [c for c in with_zero if c.zero_col]
+        assert len(zero_classes) == (1 if n % 5 == 4 else 0), n
+        assert [c for c in with_zero if not c.zero_col] == plain, n
+        assert all(c.d == dmax(n) for c in with_zero), n
 
 
 def test_are_equivalent_on_chain_links():
@@ -293,6 +313,12 @@ def test_verify_classification_small():
     assert all(set(c) == {"id", "n", "pass", "detail"} for c in payload["checks"])
     with pytest.raises(ValueError):
         verify_classification(6)
+
+
+def test_verify_classification_beyond_the_census_budget():
+    assert verify_classification(200).passed
+    with pytest.raises(ValueError, match="budget"):
+        verify_classification(2000)
 
 
 def test_equivclass_is_frozen():

@@ -159,6 +159,24 @@ def test_census_over_budget_exits_2_promptly(capsys):
     assert time.perf_counter() - start < 2.0
 
 
+def test_classify_beyond_the_census_budget(capsys):
+    start = time.perf_counter()
+    rc, out, _ = run_cli(capsys, "classify", "204", "--include-zero-columns")
+    assert time.perf_counter() - start < 2.0
+    assert rc == 0
+    lines = out.splitlines()
+    assert lines[0] == "n=204 optimal classes=6 include_zero_columns=true"
+    assert len(lines) == 7
+
+
+def test_verify_over_budget_exits_2_promptly(capsys):
+    start = time.perf_counter()
+    rc, out, err = run_cli(capsys, "verify", "--n-max", "1000000000")
+    assert rc == 2 and out == ""
+    assert "budget" in err
+    assert time.perf_counter() - start < 2.0
+
+
 def test_import_loads_no_numpy_or_process_pool():
     src = str(Path(lcd2.__file__).resolve().parents[1])
     probe = (

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from helpers import matmul
 from lcd2 import gf4
 from lcd2.linalg import (
     Mat,
@@ -14,7 +15,6 @@ from lcd2.linalg import (
     identity,
     kernel_basis,
     mat,
-    matmul,
     parse_matrix,
     rank,
     rref,
