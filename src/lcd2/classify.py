@@ -162,6 +162,13 @@ def _odd_distinct(mp: tuple[int, ...]) -> bool:
     return sum(mp[i] > mp[j] for i in range(5) for j in range(i + 1, 5)) % 2 == 1
 
 
+def _is_canonical(mp: tuple[int, ...]) -> bool:
+    """True iff ``mp`` is its own canonical form: sorted, or five distinct
+    parts sorted but for the last two, which one transposition sorts."""
+    a, b, c, d, e = mp
+    return a <= b <= c <= d <= e or a < b < c < e < d
+
+
 def canonical_form(mv: MultVector) -> MultVector:
     """Lexicographically minimal point-multiplicity image over the group.
 
@@ -186,17 +193,16 @@ def representative_atuple(mv: MultVector) -> ATuple:
     """A parameter tuple generating a member of the class of ``mv``.
 
     Taken from the lexicographically smallest orbit image that carries
-    both unit points: the two smallest nonzero parts first, the rest
-    sorted, with the parity swap of ``canonical_form``.  Moving the two
-    smallest nonzero parts ahead of at most one zero is an even
-    permutation, so the same parity bit applies.
+    both unit points: the canonical form with its two smallest nonzero
+    parts rotated ahead of its z zeros.  That rotation moves them past at
+    most one zero when all five parts differ (an even permutation), so
+    the parity swap of the canonical form carries over unchanged.
     """
-    nonzero = sorted(x for x in mv.mp if x)
-    if len(nonzero) < 2:
+    mp = mv.mp if _is_canonical(mv.mp) else canonical_form(mv).mp
+    z = mp.count(0)
+    if z > 3:
         raise ValueError(f"{mv!r} has rank < 2")
-    best = nonzero[:2] + sorted([0] * (5 - len(nonzero)) + nonzero[2:])
-    if _odd_distinct(mv.mp):
-        best[3], best[4] = best[4], best[3]
+    best = mp[z:z + 2] + mp[:z] + mp[z + 2:]
     return ATuple(best[1] - 1, best[0] - 1, best[2], best[3], best[4], a0=mv.m0)
 
 
@@ -238,11 +244,24 @@ def _min_weight_from_mult(n: int, m0: int, mp: tuple[int, ...]) -> int:
 
 
 def _we_from_mult(n: int, m0: int, mp: tuple[int, ...]) -> WeightEnumerator:
-    counts = {0: 1}
-    for p in mp:
-        w = n - m0 - p
-        counts[w] = counts.get(w, 0) + 3
-    return WeightEnumerator.from_dict(counts)
+    """Weight enumerator of a rank-2 canonical form, in weight order.
+
+    Each point type of multiplicity p gives 3 codewords of weight
+    n - m0 - p, so weights ascend as parts descend: the canonical parts
+    in reverse, with the last two reordered if the parity swap exchanged
+    them.  Rank 2 keeps every part below n - m0, so no weight is 0.
+    """
+    t = n - m0
+    p4, p3 = (mp[4], mp[3]) if mp[4] >= mp[3] else (mp[3], mp[4])
+    counts = [(0, 1)]
+    last = None
+    for p in (p4, p3, mp[2], mp[1], mp[0]):
+        if p == last:
+            counts[-1] = (t - p, counts[-1][1] + 3)
+        else:
+            counts.append((t - p, 3))
+            last = p
+    return WeightEnumerator(tuple(counts))
 
 
 def _class_from_mult(n: int, m0: int, mp: tuple[int, ...]) -> EquivClass:

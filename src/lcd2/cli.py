@@ -16,6 +16,7 @@ import csv
 import json
 import os
 import sys
+from collections.abc import Iterable
 
 from . import classify as cls
 from . import code as codeops
@@ -92,7 +93,7 @@ def _resolve_jobs(args: argparse.Namespace) -> int:
     return os.cpu_count() or 1
 
 
-def _print_csv(header: list[str], rows: list[list]) -> None:
+def _print_csv(header: list[str], rows: Iterable[list]) -> None:
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
@@ -104,20 +105,6 @@ def _print_json(obj) -> None:
 
 def _we_jsonable(we: codeops.WeightEnumerator) -> dict[str, int]:
     return {str(w): c for w, c in we.counts}
-
-
-def class_to_jsonable(c: cls.EquivClass) -> dict:
-    rep = cls.representative_atuple(c.canon)
-    return {
-        "n": c.n,
-        "d": c.d,
-        "canonical": {"m0": c.canon.m0, "mp": list(c.canon.mp)},
-        "representative_a": list(rep.entries),
-        "a0": c.canon.m0,
-        "label": c.label,
-        "weight_enumerator": _we_jsonable(c.we),
-        "dual_min_weight_one": c.zero_col,
-    }
 
 
 _CLASS_CSV_HEADER = [
@@ -154,19 +141,70 @@ def _class_text_line(c: cls.EquivClass) -> str:
     return (
         f"m0={c.canon.m0} mp={','.join(str(x) for x in c.canon.mp)} d={c.d} "
         f"a={','.join(str(x) for x in rep.entries)} label={label} "
-        f"dual_min_weight_one={str(c.zero_col).lower()} we={c.we.poly_string()}"
+        f"dual_min_weight_one={str(c.zero_col).lower()} we={c.we.poly_string()}\n"
+    )
+
+
+def _class_json(c: cls.EquivClass) -> str:
+    """One class as ``json.dumps(classes, indent=2)`` renders it in the array."""
+    mp = c.canon.mp
+    a = cls.representative_atuple(c.canon)
+    label = "null" if c.label is None else json.dumps(c.label)
+    we = ",\n".join(f'      "{w}": {count}' for w, count in c.we.counts)
+    return (
+        "  {\n"
+        f'    "n": {c.n},\n'
+        f'    "d": {c.d},\n'
+        '    "canonical": {\n'
+        f'      "m0": {c.canon.m0},\n'
+        '      "mp": [\n'
+        f"        {mp[0]},\n"
+        f"        {mp[1]},\n"
+        f"        {mp[2]},\n"
+        f"        {mp[3]},\n"
+        f"        {mp[4]}\n"
+        "      ]\n"
+        "    },\n"
+        '    "representative_a": [\n'
+        f"      {a.a1},\n"
+        f"      {a.a2},\n"
+        f"      {a.a3},\n"
+        f"      {a.a4},\n"
+        f"      {a.a5}\n"
+        "    ],\n"
+        f'    "a0": {c.canon.m0},\n'
+        f'    "label": {label},\n'
+        '    "weight_enumerator": {\n'
+        f"{we}\n"
+        "    },\n"
+        f'    "dual_min_weight_one": {"true" if c.zero_col else "false"}\n'
+        "  }"
     )
 
 
 def _emit_classes(classes: list[cls.EquivClass], args: argparse.Namespace, header: str) -> None:
+    """Write the classes to stdout one at a time.
+
+    JSON is byte for byte ``json.dumps(classes, indent=2)`` of the class
+    objects in the README schema; text and CSV are the header and one line
+    per class.
+    """
+    out = sys.stdout
     if args.format == "json":
-        _print_json([class_to_jsonable(c) for c in classes])
-    elif args.format == "csv":
-        _print_csv(_CLASS_CSV_HEADER, [_class_csv_row(c) for c in classes])
-    else:
-        print(header)
+        if not classes:
+            out.write("[]\n")
+            return
+        sep = "[\n"
         for c in classes:
-            print(_class_text_line(c))
+            out.write(sep)
+            out.write(_class_json(c))
+            sep = ",\n"
+        out.write("\n]\n")
+    elif args.format == "csv":
+        _print_csv(_CLASS_CSV_HEADER, map(_class_csv_row, classes))
+    else:
+        out.write(header + "\n")
+        out.writelines(map(_class_text_line, classes))
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
@@ -194,10 +232,12 @@ def cmd_check(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    d = codeops.min_weight(code) if code.k >= 1 else 0
+    # One codeword walk and one Gram matrix: d is the enumerator's least
+    # positive weight, and the code is LCD iff its hull is trivial.
     we = codeops.weight_enumerator(code)
+    d = we.min_positive_weight() if code.k >= 1 else 0
     hull = codeops.hull_dimension(code)
-    lcd = codeops.is_hermitian_lcd(code)
+    lcd = hull == 0
     if args.format == "json":
         _print_json(
             {

@@ -8,12 +8,16 @@ route, not against themselves.
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
+import json
 import random
 
 from lcd2 import gf4
+from lcd2.classify import EquivClass, representative_atuple
 from lcd2.code import LinearCode
-from lcd2.linalg import Mat, mat
+from lcd2.linalg import Mat, mat, rank
 
 
 def matmul(a: Mat, b: Mat) -> Mat:
@@ -146,3 +150,74 @@ def random_monomial_image(rng: random.Random, gen: Mat) -> Mat:
 def random_equivalent_image(rng: random.Random, gen: Mat) -> Mat:
     """Random row transform followed by a random monomial map."""
     return random_monomial_image(rng, matmul(rng.choice(ALL_GL2), gen))
+
+
+def random_full_rank(rng: random.Random, k: int, n: int) -> Mat:
+    """Random k x n matrix of rank k, by rejection."""
+    while True:
+        gen = mat([tuple(rng.randrange(4) for _ in range(n)) for _ in range(k)])
+        if rank(gen) == k:
+            return gen
+
+
+# Reference rendering of class lists: the dicts fed to json.dumps(indent=2),
+# the CSV rows fed to csv.writer, and the text lines printed one by one.
+CLASS_CSV_HEADER = [
+    "n", "d", "m0", "mp", "representative_a", "a0", "label",
+    "weight_enumerator", "dual_min_weight_one",
+]
+
+
+def class_to_jsonable(c: EquivClass) -> dict:
+    rep = representative_atuple(c.canon)
+    return {
+        "n": c.n,
+        "d": c.d,
+        "canonical": {"m0": c.canon.m0, "mp": list(c.canon.mp)},
+        "representative_a": list(rep.entries),
+        "a0": c.canon.m0,
+        "label": c.label,
+        "weight_enumerator": {str(w): count for w, count in c.we.counts},
+        "dual_min_weight_one": c.zero_col,
+    }
+
+
+def class_csv_row(c: EquivClass) -> list:
+    rep = representative_atuple(c.canon)
+    return [
+        c.n,
+        c.d,
+        c.canon.m0,
+        " ".join(str(x) for x in c.canon.mp),
+        " ".join(str(x) for x in rep.entries),
+        c.canon.m0,
+        c.label or "",
+        c.we.poly_string(),
+        str(c.zero_col).lower(),
+    ]
+
+
+def class_text_line(c: EquivClass) -> str:
+    rep = representative_atuple(c.canon)
+    label = c.label or "-"
+    return (
+        f"m0={c.canon.m0} mp={','.join(str(x) for x in c.canon.mp)} d={c.d} "
+        f"a={','.join(str(x) for x in rep.entries)} label={label} "
+        f"dual_min_weight_one={str(c.zero_col).lower()} we={c.we.poly_string()}"
+    )
+
+
+def render_classes(classes: list[EquivClass], fmt: str, header: str) -> str:
+    """What ``census``/``classify`` print for ``classes`` in format ``fmt``."""
+    buf = io.StringIO()
+    if fmt == "json":
+        print(json.dumps([class_to_jsonable(c) for c in classes], indent=2), file=buf)
+    elif fmt == "csv":
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(CLASS_CSV_HEADER)
+        writer.writerows(class_csv_row(c) for c in classes)
+    else:
+        print(header, file=buf)
+        for c in classes:
+            print(class_text_line(c), file=buf)
+    return buf.getvalue()

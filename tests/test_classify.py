@@ -16,6 +16,7 @@ from lcd2.classify import (
     _iter_compositions,
     _lcd_from_mult,
     _min_weight_from_mult,
+    _we_from_mult,
     are_equivalent,
     canonical_form,
     census,
@@ -30,6 +31,7 @@ from lcd2.classify import (
 )
 from lcd2.code import (
     LinearCode,
+    WeightEnumerator,
     has_zero_coordinate,
     is_hermitian_lcd,
     min_weight,
@@ -124,6 +126,35 @@ def test_closed_forms_match_the_group_minimum():
             best = min(img for img in images if img[0] >= 1 and img[1] >= 1)
             expected = ATuple(best[1] - 1, best[0] - 1, best[2], best[3], best[4], a0=3)
             assert representative_atuple(mv) == expected, mp
+
+
+def test_representative_atuple_depends_only_on_the_class():
+    for m0 in (0, 2):
+        for t in range(15):
+            for mp in _iter_compositions(t):
+                mv = MultVector(m0, mp)
+                if not mv.spans():
+                    for arg in (mv, canonical_form(mv)):
+                        with pytest.raises(ValueError):
+                            representative_atuple(arg)
+                    continue
+                assert representative_atuple(mv) == representative_atuple(canonical_form(mv)), mp
+
+
+def test_we_from_mult_matches_the_dict_build():
+    def dict_build(n, m0, mp):
+        counts = {0: 1}
+        for p in mp:
+            counts[n - m0 - p] = counts.get(n - m0 - p, 0) + 3
+        return WeightEnumerator.from_dict(counts)
+
+    for m0 in (0, 2):
+        for t in range(15):
+            for mp in _iter_compositions(t):
+                canon = canonical_form(MultVector(m0, mp))
+                if canon.spans():
+                    n = m0 + t
+                    assert _we_from_mult(n, m0, canon.mp) == dict_build(n, m0, canon.mp), mp
 
 
 def _a5_orbits(t):

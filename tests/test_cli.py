@@ -1,7 +1,9 @@
+import argparse
 import csv
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -10,10 +12,13 @@ from pathlib import Path
 import pytest
 
 import lcd2
-from lcd2.classify import MultVector, canonical_form, code_to_multvector
-from lcd2.cli import main
+from helpers import random_full_rank, render_classes
+from lcd2 import code as codeops
+from lcd2.classify import MultVector, canonical_form, census, classify_optimal, code_to_multvector
+from lcd2.cli import _emit_classes, main
 from lcd2.code import LinearCode
 from lcd2.family import ATuple, build_generator
+from lcd2.linalg import format_matrix
 
 
 def run_cli(capsys, *argv):
@@ -71,6 +76,18 @@ def test_check_rejects_bad_input(capsys):
     assert rc == 2 and "error" in err
     rc, _, err = run_cli(capsys, "check", "1,w;w,w2")  # rank deficient
     assert rc == 2 and "rank deficient" in err
+
+
+def test_check_matches_the_separate_measurements(capsys):
+    rng = random.Random(97)
+    for k in range(1, 7):
+        for _ in range(3):
+            code = LinearCode(random_full_rank(rng, k, rng.randrange(k, k + 5)))
+            rc, out, _ = run_cli(capsys, "check", format_matrix(code.gen), "--format", "json")
+            assert rc == 0
+            payload = json.loads(out)
+            assert payload["d"] == codeops.min_weight(code)
+            assert payload["hermitian_lcd"] == codeops.is_hermitian_lcd(code)
 
 
 def test_construct(capsys):
@@ -144,6 +161,51 @@ def test_census_filters(capsys):
     rc, out, _ = run_cli(capsys, "census", "6", "--filter", "optimal_lcd")
     opt_count = len(out.strip().splitlines()) - 1
     assert all_count > lcd_count > opt_count == 1
+
+
+FORMATS = ("text", "json", "csv")
+
+
+@pytest.mark.parametrize("zero", [False, True])
+@pytest.mark.parametrize("filt", ["all", "lcd", "optimal_lcd"])
+def test_census_output_matches_the_reference_rendering(capsys, filt, zero):
+    for n in range(2, 31):
+        classes = census(n, filt, zero)
+        header = (
+            f"n={n} filter={filt} classes={len(classes)} "
+            f"include_zero_columns={str(zero).lower()}"
+        )
+        for fmt in FORMATS:
+            argv = ["census", str(n), "--filter", filt, "--format", fmt]
+            rc, out, _ = run_cli(capsys, *argv, *(["--include-zero-columns"] if zero else []))
+            assert rc == 0
+            assert out == render_classes(classes, fmt, header), (n, fmt)
+
+
+def test_classify_output_matches_the_reference_rendering(capsys):
+    labels = set()
+    for n in range(2, 41):
+        for zero in (False, True):
+            classes = classify_optimal(n, zero)
+            labels.update(c.label for c in classes)
+            header = (
+                f"n={n} optimal classes={len(classes)} "
+                f"include_zero_columns={str(zero).lower()}"
+            )
+            for fmt in FORMATS:
+                argv = ["classify", str(n), "--format", fmt]
+                rc, out, _ = run_cli(capsys, *argv, *(["--include-zero-columns"] if zero else []))
+                assert rc == 0
+                assert out == render_classes(classes, fmt, header), (n, zero, fmt)
+    assert None in labels and len(labels) > 10
+
+
+def test_empty_class_list_output(capsys):
+    for fmt in FORMATS:
+        _emit_classes([], argparse.Namespace(format=fmt), "header")
+        assert capsys.readouterr().out == render_classes([], fmt, "header")
+    _emit_classes([], argparse.Namespace(format="json"), "header")
+    assert capsys.readouterr().out == "[]\n"
 
 
 def test_census_rejects_bad_length(capsys):
