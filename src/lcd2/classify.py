@@ -37,7 +37,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import code as codeops
 from . import family as fam
@@ -78,14 +78,30 @@ class MultVector:
 
 @dataclass(frozen=True)
 class EquivClass:
-    """One equivalence class of a census, keyed by its canonical form."""
+    """One census class: a rank-2 canonical form and an optional catalog label.
+
+    The canonical form is a complete invariant, so n, d, the weight
+    enumerator and the zero-column flag are derived from it on access.
+    """
 
     canon: MultVector
-    n: int
-    d: int
-    we: WeightEnumerator
-    zero_col: bool
     label: str | None = None
+
+    @property
+    def n(self) -> int:
+        return self.canon.n
+
+    @property
+    def d(self) -> int:
+        return _min_weight_from_mult(self.canon.n, self.canon.m0, self.canon.mp)
+
+    @property
+    def we(self) -> WeightEnumerator:
+        return _we_from_mult(self.canon.n, self.canon.m0, self.canon.mp)
+
+    @property
+    def zero_col(self) -> bool:
+        return self.canon.m0 > 0
 
 
 def _normalize_column(col: tuple[int, int]) -> tuple[int, int]:
@@ -214,8 +230,8 @@ def representative_atuple(mv: MultVector) -> ATuple:
 # identity term of the Burnside count of sorted 5-part partitions of t,
 # which the exact count exceeds by 14% at n = 150 and by 26% at n = 100
 # with zero columns.  The budget admits n <= 161, or n <= 78 with zero
-# columns; census(150, "all") walks 213k partitions into 378k classes (6 s
-# and 344 MB peak RSS on a 2-vCPU x86-64 machine).  The ``optimal_lcd``
+# columns; census(150, "all") walks 213k partitions into 378k classes (1.4
+# s and 123 MB peak RSS on a 2-vCPU x86-64 machine).  The ``optimal_lcd``
 # walk is a window of at most 11 partitions and needs no budget.
 CENSUS_BUDGET = 250_000
 
@@ -262,16 +278,6 @@ def _we_from_mult(n: int, m0: int, mp: tuple[int, ...]) -> WeightEnumerator:
             counts.append((t - p, 3))
             last = p
     return WeightEnumerator(tuple(counts))
-
-
-def _class_from_mult(n: int, m0: int, mp: tuple[int, ...]) -> EquivClass:
-    return EquivClass(
-        canon=MultVector(m0, mp),
-        n=n,
-        d=_min_weight_from_mult(n, m0, mp),
-        we=_we_from_mult(n, m0, mp),
-        zero_col=m0 > 0,
-    )
 
 
 def _sorted_parts(t: int):
@@ -336,7 +342,7 @@ def _census_fast(n: int, filt: str, include_zero_columns: bool) -> list[EquivCla
                 forms.append((p[0], p[1], p[2], p[4], p[3]))
         if filt != "all":
             forms = [mp for mp in forms if _lcd_from_mult(mp)]
-        classes.extend(_class_from_mult(n, m0, mp) for mp in sorted(forms))
+        classes.extend(EquivClass(MultVector(m0, mp)) for mp in sorted(forms))
     return classes
 
 
@@ -349,7 +355,8 @@ def _iter_compositions(total: int):
 
 
 def _census_enumerated(n: int, filt: str, include_zero_columns: bool) -> list[EquivClass]:
-    """Oracle path: build every code and measure it by codeword enumeration."""
+    """Oracle path: build every code and measure it by codeword enumeration,
+    asserting that d and the enumerator match those its class derives."""
     m0_values = range(0, n - 1) if include_zero_columns else (0,)
     classes: dict[tuple[int, tuple[int, ...]], EquivClass] = {}
     for m0 in m0_values:
@@ -358,20 +365,18 @@ def _census_enumerated(n: int, filt: str, include_zero_columns: bool) -> list[Eq
             if not mv.spans():
                 continue
             c = multvector_to_code(mv)
-            lcd = codeops.is_hermitian_lcd(c)
+            we = codeops.weight_enumerator(c)
             d = codeops.min_weight(c)
-            if filt in ("lcd", "optimal_lcd") and not lcd:
+            cls = EquivClass(canonical_form(mv))
+            if d != cls.d or we != cls.we:
+                raise AssertionError(
+                    f"{mv!r}: measured d={d}, we={we}; derived d={cls.d}, we={cls.we}"
+                )
+            if filt in ("lcd", "optimal_lcd") and not codeops.is_hermitian_lcd(c):
                 continue
             if filt == "optimal_lcd" and d != dmax(n):
                 continue
-            canon = canonical_form(mv)
-            we = codeops.weight_enumerator(c)
-            key = (canon.m0, canon.mp)
-            prev = classes.get(key)
-            if prev is None:
-                classes[key] = EquivClass(canon, n, d, we, m0 > 0)
-            elif prev.d != d or prev.we != we:
-                raise AssertionError(f"orbit invariant mismatch at {mv!r}")
+            classes[(cls.canon.m0, cls.canon.mp)] = cls
     return [classes[key] for key in sorted(classes)]
 
 
@@ -379,7 +384,6 @@ def census(
     n: int,
     filter: str = "lcd",
     include_zero_columns: bool = False,
-    jobs: int = 1,
     method: str = "fast",
 ) -> list[EquivClass]:
     """All equivalence classes of [n, 2] codes passing the filter.
@@ -393,8 +397,7 @@ def census(
     exceeds ``CENSUS_BUDGET``; ``optimal_lcd`` walks only the partitions
     whose largest part is n - m0 - dmax(n), at most 11 at any length.
     ``method="enumerate"`` rebuilds every code and measures it from its
-    codewords, as the cross-checking oracle.  ``jobs`` is accepted for
-    compatibility and has no effect.
+    codewords, as the cross-checking oracle.
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
@@ -500,7 +503,6 @@ def _label_map(n: int) -> dict[tuple[int, tuple[int, ...]], str]:
 def classify_optimal(
     n: int,
     include_zero_columns: bool = False,
-    jobs: int = 1,
     method: str = "fast",
 ) -> list[EquivClass]:
     """Census of optimal Hermitian LCD classes, labelled from the catalog.
@@ -508,12 +510,9 @@ def classify_optimal(
     A class gets a label when some catalog tuple lies in its orbit;
     zero-column classes never do (the catalog has no zero columns).
     """
-    classes = census(n, "optimal_lcd", include_zero_columns, jobs, method)
+    classes = census(n, "optimal_lcd", include_zero_columns, method)
     labels = _label_map(n)
-    return [
-        replace(cls, label=labels.get((cls.canon.m0, cls.canon.mp)))
-        for cls in classes
-    ]
+    return [EquivClass(c.canon, labels.get((c.canon.m0, c.canon.mp))) for c in classes]
 
 
 @dataclass(frozen=True)
@@ -676,7 +675,7 @@ def _check_headline(
 VERIFY_BUDGET = 4_400_000
 
 
-def verify_classification(n_max: int, jobs: int = 1) -> VerificationReport:
+def verify_classification(n_max: int) -> VerificationReport:
     """Re-derive and cross-check the known classification up to n_max.
 
     Runs, for every n in 2..n_max: T1 catalog vs fresh enumeration, T2
@@ -699,8 +698,8 @@ def verify_classification(n_max: int, jobs: int = 1) -> VerificationReport:
         checks.append(_check_catalog(n))
         checks.append(_check_chains(n))
         checks.append(_check_weight_forms(n))
-        classes_plain = classify_optimal(n, include_zero_columns=False, jobs=jobs)
-        classes_zero = classify_optimal(n, include_zero_columns=True, jobs=jobs)
+        classes_plain = classify_optimal(n, include_zero_columns=False)
+        classes_zero = classify_optimal(n, include_zero_columns=True)
         checks.append(_check_classification(n, classes_plain, classes_zero))
         headline = _check_headline(n, classes_plain, classes_zero)
         if headline is not None:

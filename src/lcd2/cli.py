@@ -1,12 +1,10 @@
 """Command-line front end.
 
 Commands: bound, check, construct, enumerate, classify, census, verify.
-Every command accepts --format {text,json,csv} and --jobs N; --jobs (and
-the LCD2_JOBS environment variable) is validated for compatibility and
-has no effect, since the census runs in one process.
+Every command accepts --format {text,json,csv}.
 Exit codes: 0 on success, 1 when verification finds a failing check,
-2 on usage or parse errors and on census or verify requests over the
-work budget.
+2 on usage or parse errors and on check, construct, census or verify
+requests over the work budget.
 """
 
 from __future__ import annotations
@@ -14,7 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from collections.abc import Iterable
 
@@ -32,13 +29,6 @@ def _common_options() -> argparse.ArgumentParser:
         choices=("text", "json", "csv"),
         default="text",
         help="output format (default: text)",
-    )
-    common.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="accepted for compatibility; has no effect (default: LCD2_JOBS or CPU count)",
     )
     return common
 
@@ -79,18 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=32)
 
     return parser
-
-
-def _resolve_jobs(args: argparse.Namespace) -> int:
-    if args.jobs is not None:
-        return max(1, args.jobs)
-    env = os.environ.get("LCD2_JOBS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError(f"LCD2_JOBS must be an integer, got {env!r}") from None
-    return os.cpu_count() or 1
 
 
 def _print_csv(header: list[str], rows: Iterable[list]) -> None:
@@ -319,8 +297,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 def cmd_classify(args: argparse.Namespace) -> int:
     try:
-        jobs = _resolve_jobs(args)
-        classes = cls.classify_optimal(args.n, args.include_zero_columns, jobs=jobs)
+        classes = cls.classify_optimal(args.n, args.include_zero_columns)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -334,10 +311,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 def cmd_census(args: argparse.Namespace) -> int:
     try:
-        jobs = _resolve_jobs(args)
-        classes = cls.census(
-            args.n, args.filter, args.include_zero_columns, jobs=jobs
-        )
+        classes = cls.census(args.n, args.filter, args.include_zero_columns)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -351,8 +325,7 @@ def cmd_census(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     try:
-        jobs = _resolve_jobs(args)
-        report = cls.verify_classification(args.n_max, jobs=jobs)
+        report = cls.verify_classification(args.n_max)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -8,6 +9,7 @@ from helpers import (
     random_equivalent_image,
     random_rank2_matrix,
 )
+import lcd2.classify as classify_module
 from lcd2 import gf4
 from lcd2.classify import (
     EQUIV_CHAINS,
@@ -254,6 +256,24 @@ def test_census_fast_equals_enumerated_oracle():
                 ], (n, filt, izc)
 
 
+def test_enumerated_oracle_checks_the_derived_enumerator(monkeypatch):
+    def drop_last_term(n, m0, mp):
+        return WeightEnumerator(_we_from_mult(n, m0, mp).counts[:-1])
+
+    monkeypatch.setattr(classify_module, "_we_from_mult", drop_last_term)
+    with pytest.raises(AssertionError):
+        census(9, "all", method="enumerate")
+
+
+def test_enumerated_oracle_checks_the_derived_min_weight(monkeypatch):
+    def shift_by_one(n, m0, mp):
+        return _min_weight_from_mult(n, m0, mp) + 1
+
+    monkeypatch.setattr(classify_module, "_min_weight_from_mult", shift_by_one)
+    with pytest.raises(AssertionError):
+        census(9, "all", method="enumerate")
+
+
 def test_census_examples():
     classes = census(7, "optimal_lcd")
     assert len(classes) == 1
@@ -282,12 +302,6 @@ def test_census_is_deterministic_and_sorted():
     assert a == b
     keys = [(c.canon.m0, c.canon.mp) for c in a]
     assert keys == sorted(keys)
-
-
-def test_census_jobs_do_not_change_results():
-    base = census(13, "lcd")
-    assert census(13, "lcd", jobs=2) == base
-    assert census(13, "lcd", jobs=8) == base
 
 
 def test_classify_labels():
@@ -357,3 +371,10 @@ def test_equivclass_is_frozen():
     assert isinstance(cls, EquivClass)
     with pytest.raises(AttributeError):
         cls.d = 99
+
+
+def test_equivclass_stores_only_its_canonical_form_and_label():
+    assert [f.name for f in dataclasses.fields(EquivClass)] == ["canon", "label"]
+    cls = EquivClass(MultVector(2, (1, 1, 1, 2, 2)), "x")
+    assert (cls.n, cls.d, cls.zero_col) == (9, 5, True)
+    assert cls.we == weight_enumerator(multvector_to_code(cls.canon))

@@ -239,6 +239,23 @@ def test_verify_over_budget_exits_2_promptly(capsys):
     assert time.perf_counter() - start < 2.0
 
 
+def test_construct_over_budget_exits_2_promptly(capsys):
+    start = time.perf_counter()
+    rc, out, err = run_cli(capsys, "construct", "1000000000000000,0,0,0,0")
+    assert rc == 2 and out == ""
+    assert "budget" in err
+    assert time.perf_counter() - start < 2.0
+
+
+def test_check_over_budget_exits_2_promptly(capsys):
+    identity = ";".join(",".join("1" if j == i else "0" for j in range(14)) for i in range(12))
+    start = time.perf_counter()
+    rc, out, err = run_cli(capsys, "check", identity)
+    assert rc == 2 and out == ""
+    assert "budget" in err
+    assert time.perf_counter() - start < 2.0
+
+
 def test_import_loads_no_numpy_or_process_pool():
     src = str(Path(lcd2.__file__).resolve().parents[1])
     probe = (
@@ -250,28 +267,6 @@ def test_import_loads_no_numpy_or_process_pool():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert result.stdout.strip() == "[]"
-
-
-def test_jobs_determinism(capsys):
-    outputs = []
-    for jobs in ("1", "2", "8"):
-        rc, out, _ = run_cli(
-            capsys, "classify", "14", "--format", "json", "--jobs", jobs,
-            "--include-zero-columns",
-        )
-        assert rc == 0
-        outputs.append(out)
-    assert outputs[0] == outputs[1] == outputs[2]
-
-
-def test_lcd2_jobs_env(capsys, monkeypatch):
-    rc, baseline, _ = run_cli(capsys, "census", "10", "--format", "json", "--jobs", "1")
-    monkeypatch.setenv("LCD2_JOBS", "2")
-    rc, out, _ = run_cli(capsys, "census", "10", "--format", "json")
-    assert rc == 0 and out == baseline
-    monkeypatch.setenv("LCD2_JOBS", "zebra")
-    rc, _, err = run_cli(capsys, "census", "10")
-    assert rc == 2 and "LCD2_JOBS" in err
 
 
 def test_verify_small(capsys):
@@ -289,6 +284,7 @@ def test_usage_errors_exit_2(capsys):
     assert main(["bogus"]) == 2
     assert main(["bound"]) == 2
     assert main(["census", "7", "--filter", "nope"]) == 2
+    assert main(["census", "7", "--jobs", "2"]) == 2
 
 
 def test_help_exits_zero(capsys):
