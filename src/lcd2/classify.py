@@ -13,19 +13,23 @@ lexicographically minimal image, a complete invariant.
 The group is A5 (60 even permutations), which makes the canonical form
 closed: sort the five multiplicities, and when all five differ and the
 sorting permutation is odd, swap the last two.  ``census`` uses this for
-orderly generation: it walks the sorted 5-part partitions of each
-length, adds the mirror image of every partition with distinct parts,
-and filters (all / Hermitian LCD / distance-optimal Hermitian LCD) from
-the multiplicities alone.  Minimum weight is n - m0 - max(mp) (each
-nonzero message class zeroes exactly one point type), and the Gram
-determinant reduces to a parity formula in the multiplicities.  Since
-the largest part of an optimal code is n - m0 - dmax(n), the
-distance-optimal census walks only the partitions with that largest
-part: at most 11 of them over at most 2 values of m0, at any length.
-The ``all`` and ``lcd`` walks grow as n^4 (n^5 with zero columns) and
-are capped by ``CENSUS_BUDGET``.  The ``enumerate`` method recomputes
-everything from actual codewords and serves as the cross-validating
-oracle.
+orderly generation with one walker, ``_window_parts(t, top)``: the sorted
+5-part partitions of t = n - m0 with largest part top.  A rank-2 form
+has ceil(t/5) <= top <= t - 1 (a largest part of t leaves one point
+type), and the ``all`` and ``lcd`` census walk every such window.  An
+optimal code's largest part is n - m0 - dmax(n), so the distance-optimal
+census walks only that window: at most 11 partitions over at most 2
+values of m0, at any length.  Each walk adds the mirror image of every
+partition with distinct parts and filters (all / Hermitian LCD /
+distance-optimal Hermitian LCD) from the multiplicities alone.  Minimum
+weight is n - m0 - max(mp) (each nonzero message class zeroes exactly
+one point type), and the Gram determinant reduces to a parity formula
+in the multiplicities.  The ``all`` and ``lcd`` walks grow as n^4 (n^5
+with zero columns) and are capped by ``CENSUS_BUDGET``.  An
+``EquivClass`` accepts only a rank-2 canonical form, so its derived d
+and weight enumerator are always those of a real class.  The
+``enumerate`` method recomputes everything from actual codewords and
+serves as the cross-validating oracle.
 
 ``verify_classification`` replays the known classification data
 (catalog, equivalence chains, weight enumerator forms, class counts)
@@ -82,10 +86,18 @@ class EquivClass:
 
     The canonical form is a complete invariant, so n, d, the weight
     enumerator and the zero-column flag are derived from it on access.
+    Raises ValueError unless ``canon.mp`` is a canonical form of rank 2:
+    sorted with at least two nonzero parts, or five distinct parts
+    sorted but for the last two, which one transposition sorts.
     """
 
     canon: MultVector
     label: str | None = None
+
+    def __post_init__(self) -> None:
+        a, b, c, d, e = self.canon.mp
+        if not (0 < d and (a <= b <= c <= d <= e or a < b < c < e < d)):
+            raise ValueError(f"{self.canon!r} is not a rank-2 canonical form")
 
     @property
     def n(self) -> int:
@@ -178,13 +190,6 @@ def _odd_distinct(mp: tuple[int, ...]) -> bool:
     return sum(mp[i] > mp[j] for i in range(5) for j in range(i + 1, 5)) % 2 == 1
 
 
-def _is_canonical(mp: tuple[int, ...]) -> bool:
-    """True iff ``mp`` is its own canonical form: sorted, or five distinct
-    parts sorted but for the last two, which one transposition sorts."""
-    a, b, c, d, e = mp
-    return a <= b <= c <= d <= e or a < b < c < e < d
-
-
 def canonical_form(mv: MultVector) -> MultVector:
     """Lexicographically minimal point-multiplicity image over the group.
 
@@ -205,8 +210,8 @@ def are_equivalent(c1: LinearCode, c2: LinearCode) -> bool:
     return canonical_form(code_to_multvector(c1)) == canonical_form(code_to_multvector(c2))
 
 
-def representative_atuple(mv: MultVector) -> ATuple:
-    """A parameter tuple generating a member of the class of ``mv``.
+def representative_entries(mp: tuple[int, ...]) -> tuple[int, int, int, int, int]:
+    """(a1, ..., a5) of the representative tuple of a rank-2 canonical form.
 
     Taken from the lexicographically smallest orbit image that carries
     both unit points: the canonical form with its two smallest nonzero
@@ -214,12 +219,17 @@ def representative_atuple(mv: MultVector) -> ATuple:
     most one zero when all five parts differ (an even permutation), so
     the parity swap of the canonical form carries over unchanged.
     """
-    mp = mv.mp if _is_canonical(mv.mp) else canonical_form(mv).mp
     z = mp.count(0)
-    if z > 3:
-        raise ValueError(f"{mv!r} has rank < 2")
     best = mp[z:z + 2] + mp[:z] + mp[z + 2:]
-    return ATuple(best[1] - 1, best[0] - 1, best[2], best[3], best[4], a0=mv.m0)
+    return (best[1] - 1, best[0] - 1, best[2], best[3], best[4])
+
+
+def representative_atuple(mv: MultVector) -> ATuple:
+    """A parameter tuple generating a member of the class of ``mv``."""
+    mp = canonical_form(mv).mp
+    if mp[3] == 0:
+        raise ValueError(f"{mv!r} has rank < 2")
+    return ATuple(*representative_entries(mp), a0=mv.m0)
 
 
 # ---------------------------------------------------------------------------
@@ -280,18 +290,6 @@ def _we_from_mult(n: int, m0: int, mp: tuple[int, ...]) -> WeightEnumerator:
     return WeightEnumerator(tuple(counts))
 
 
-def _sorted_parts(t: int):
-    """Nondecreasing 5-part partitions (p0 <= .. <= p4) of t."""
-    for p0 in range(t // 5 + 1):
-        r0 = t - p0
-        for p1 in range(p0, r0 // 4 + 1):
-            r1 = r0 - p1
-            for p2 in range(p1, r1 // 3 + 1):
-                r2 = r1 - p2
-                for p3 in range(p2, r2 // 2 + 1):
-                    yield (p0, p1, p2, p3, r2 - p3)
-
-
 def _window_parts(t: int, top: int):
     """Nondecreasing 5-part partitions of t whose largest part is top."""
     s = t - top
@@ -306,12 +304,14 @@ def _window_parts(t: int, top: int):
 def _census_fast(n: int, filt: str, include_zero_columns: bool) -> list[EquivClass]:
     """Orderly generation: every canonical form is produced exactly once.
 
-    The canonical forms with m0 zero columns are the sorted partitions of
-    n - m0 plus, for each partition with five distinct parts, its mirror
-    with the last two parts swapped (the other A5 orbit of that multiset).
-    An optimal code has largest part n - m0 - dmax(n) and its four other
-    parts sum to dmax(n), so ``optimal_lcd`` walks only that window, and
-    only the m0 that leave the largest part at least dmax(n)/4.
+    The rank-2 canonical forms with m0 zero columns are the sorted
+    partitions of t = n - m0 with largest part top in ceil(t/5)..t - 1,
+    walked one window of equal top at a time, plus, for each partition
+    with five distinct parts, its mirror with the last two parts swapped
+    (the other A5 orbit of that multiset).  An optimal code has largest
+    part n - m0 - dmax(n) and its four other parts sum to dmax(n), so
+    ``optimal_lcd`` walks only that window, and only the m0 that leave
+    the largest part at least dmax(n)/4.
     """
     if filt == "optimal_lcd":
         d_opt = dmax(n)
@@ -333,13 +333,13 @@ def _census_fast(n: int, filt: str, include_zero_columns: bool) -> list[EquivCla
     classes = []
     for m0 in range(m0_last + 1):
         t = n - m0
+        tops = range(-(-t // 5), t) if d_opt is None else (t - d_opt,)
         forms = []
-        for p in _sorted_parts(t) if d_opt is None else _window_parts(t, t - d_opt):
-            if p[3] == 0:
-                continue  # one point type only: rank < 2
-            forms.append(p)
-            if p[0] < p[1] < p[2] < p[3] < p[4]:
-                forms.append((p[0], p[1], p[2], p[4], p[3]))
+        for top in tops:
+            for p in _window_parts(t, top):
+                forms.append(p)
+                if p[0] < p[1] < p[2] < p[3] < p[4]:
+                    forms.append((p[0], p[1], p[2], p[4], p[3]))
         if filt != "all":
             forms = [mp for mp in forms if _lcd_from_mult(mp)]
         classes.extend(EquivClass(MultVector(m0, mp)) for mp in sorted(forms))

@@ -98,43 +98,47 @@ _CLASS_CSV_HEADER = [
 ]
 
 
-def _class_csv_row(c: cls.EquivClass) -> list:
-    rep = cls.representative_atuple(c.canon)
-    return [
-        c.n,
-        c.d,
-        c.canon.m0,
-        " ".join(str(x) for x in c.canon.mp),
-        " ".join(str(x) for x in rep.entries),
-        c.canon.m0,
-        c.label or "",
-        c.we.poly_string(),
-        str(c.zero_col).lower(),
-    ]
-
-
-def _class_text_line(c: cls.EquivClass) -> str:
-    rep = cls.representative_atuple(c.canon)
-    label = c.label or "-"
+def _class_fields(c: cls.EquivClass) -> tuple:
+    """What a class row shows, derived once: n, d, m0, mp, the representative
+    entries a1..a5, the label, the weight enumerator and the zero-column flag."""
+    mp = c.canon.mp
     return (
-        f"m0={c.canon.m0} mp={','.join(str(x) for x in c.canon.mp)} d={c.d} "
-        f"a={','.join(str(x) for x in rep.entries)} label={label} "
-        f"dual_min_weight_one={str(c.zero_col).lower()} we={c.we.poly_string()}\n"
+        c.n, c.d, c.canon.m0, mp, cls.representative_entries(mp), c.label, c.we, c.zero_col
     )
 
 
-def _class_json(c: cls.EquivClass) -> str:
+def _class_csv_row(n, d, m0, mp, a, label, we, zero_col) -> list:
+    return [
+        n,
+        d,
+        m0,
+        " ".join(map(str, mp)),
+        " ".join(map(str, a)),
+        m0,
+        label or "",
+        we.poly_string(),
+        "true" if zero_col else "false",
+    ]
+
+
+def _class_text_line(n, d, m0, mp, a, label, we, zero_col) -> str:
+    return (
+        f"m0={m0} mp={','.join(map(str, mp))} d={d} "
+        f"a={','.join(map(str, a))} label={label or '-'} "
+        f"dual_min_weight_one={'true' if zero_col else 'false'} we={we.poly_string()}\n"
+    )
+
+
+def _class_json(n, d, m0, mp, a, label, we, zero_col) -> str:
     """One class as ``json.dumps(classes, indent=2)`` renders it in the array."""
-    mp = c.canon.mp
-    a = cls.representative_atuple(c.canon)
-    label = "null" if c.label is None else json.dumps(c.label)
-    we = ",\n".join(f'      "{w}": {count}' for w, count in c.we.counts)
+    label_json = "null" if label is None else json.dumps(label)
+    we_lines = ",\n".join(f'      "{w}": {count}' for w, count in we.counts)
     return (
         "  {\n"
-        f'    "n": {c.n},\n'
-        f'    "d": {c.d},\n'
+        f'    "n": {n},\n'
+        f'    "d": {d},\n'
         '    "canonical": {\n'
-        f'      "m0": {c.canon.m0},\n'
+        f'      "m0": {m0},\n'
         '      "mp": [\n'
         f"        {mp[0]},\n"
         f"        {mp[1]},\n"
@@ -144,18 +148,18 @@ def _class_json(c: cls.EquivClass) -> str:
         "      ]\n"
         "    },\n"
         '    "representative_a": [\n'
-        f"      {a.a1},\n"
-        f"      {a.a2},\n"
-        f"      {a.a3},\n"
-        f"      {a.a4},\n"
-        f"      {a.a5}\n"
+        f"      {a[0]},\n"
+        f"      {a[1]},\n"
+        f"      {a[2]},\n"
+        f"      {a[3]},\n"
+        f"      {a[4]}\n"
         "    ],\n"
-        f'    "a0": {c.canon.m0},\n'
-        f'    "label": {label},\n'
+        f'    "a0": {m0},\n'
+        f'    "label": {label_json},\n'
         '    "weight_enumerator": {\n'
-        f"{we}\n"
+        f"{we_lines}\n"
         "    },\n"
-        f'    "dual_min_weight_one": {"true" if c.zero_col else "false"}\n'
+        f'    "dual_min_weight_one": {"true" if zero_col else "false"}\n'
         "  }"
     )
 
@@ -165,32 +169,29 @@ def _emit_classes(classes: list[cls.EquivClass], args: argparse.Namespace, heade
 
     JSON is byte for byte ``json.dumps(classes, indent=2)`` of the class
     objects in the README schema; text and CSV are the header and one line
-    per class.
+    per class.  Every format renders the same ``_class_fields``.
     """
     out = sys.stdout
+    rows = map(_class_fields, classes)
     if args.format == "json":
         if not classes:
             out.write("[]\n")
             return
         sep = "[\n"
-        for c in classes:
+        for row in rows:
             out.write(sep)
-            out.write(_class_json(c))
+            out.write(_class_json(*row))
             sep = ",\n"
         out.write("\n]\n")
     elif args.format == "csv":
-        _print_csv(_CLASS_CSV_HEADER, map(_class_csv_row, classes))
+        _print_csv(_CLASS_CSV_HEADER, (_class_csv_row(*row) for row in rows))
     else:
         out.write(header + "\n")
-        out.writelines(map(_class_text_line, classes))
+        out.writelines(_class_text_line(*row) for row in rows)
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
-    try:
-        d = fam.dmax(args.n)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    d = fam.dmax(args.n)
     delta = fam.delta(args.n, d)
     if args.format == "json":
         _print_json({"n": args.n, "d": d, "delta": delta})
@@ -204,12 +205,8 @@ def cmd_bound(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    try:
-        gen = parse_matrix(args.matrix)
-        code = LinearCode(gen)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    gen = parse_matrix(args.matrix)
+    code = LinearCode(gen)
     # One codeword walk and one Gram matrix: d is the enumerator's least
     # positive weight, and the code is LCD iff its hull is trivial.
     we = codeops.weight_enumerator(code)
@@ -244,11 +241,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
-    try:
-        a = fam.parse_atuple(args.atuple)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    a = fam.parse_atuple(args.atuple)
     gen = fam.build_generator(a)
     text = format_matrix(gen)
     if args.format == "json":
@@ -264,12 +257,8 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    try:
-        tuples = fam.enumerate_optimal(args.n)
-        d = fam.dmax(args.n)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    tuples = fam.enumerate_optimal(args.n)
+    d = fam.dmax(args.n)
     labels = {a.entries: f.label for f, a in fam.family_tuples(args.n)}
     if args.format == "json":
         _print_json(
@@ -296,11 +285,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    try:
-        classes = cls.classify_optimal(args.n, args.include_zero_columns)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    classes = cls.classify_optimal(args.n, args.include_zero_columns)
     header = (
         f"n={args.n} optimal classes={len(classes)} "
         f"include_zero_columns={str(args.include_zero_columns).lower()}"
@@ -310,11 +295,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def cmd_census(args: argparse.Namespace) -> int:
-    try:
-        classes = cls.census(args.n, args.filter, args.include_zero_columns)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    classes = cls.census(args.n, args.filter, args.include_zero_columns)
     header = (
         f"n={args.n} filter={args.filter} classes={len(classes)} "
         f"include_zero_columns={str(args.include_zero_columns).lower()}"
@@ -324,11 +305,7 @@ def cmd_census(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        report = cls.verify_classification(args.n_max)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    report = cls.verify_classification(args.n_max)
     if args.format == "json":
         _print_json(report.to_jsonable())
     elif args.format == "csv":

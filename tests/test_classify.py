@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import random
 
@@ -19,6 +20,7 @@ from lcd2.classify import (
     _lcd_from_mult,
     _min_weight_from_mult,
     _we_from_mult,
+    _window_parts,
     are_equivalent,
     canonical_form,
     census,
@@ -183,6 +185,18 @@ def test_census_refuses_walks_over_budget():
         census(162, "all")
     with pytest.raises(ValueError, match="budget"):
         census(79, "lcd", include_zero_columns=True)
+
+
+def test_window_parts_match_brute_force_partitions():
+    # Sorted 5-tuples over 0..30 bucketed by (sum, largest part): every
+    # partition of t <= 30 has its parts in that range.
+    expected: dict[tuple[int, int], list] = {}
+    for p in itertools.combinations_with_replacement(range(31), 5):
+        if sum(p) <= 30:
+            expected.setdefault((sum(p), p[4]), []).append(p)
+    for t in range(31):
+        for top in range(t + 1):
+            assert sorted(_window_parts(t, top)) == expected.get((t, top), []), (t, top)
 
 
 def test_optimal_window_equals_full_lcd_walk():
@@ -378,3 +392,18 @@ def test_equivclass_stores_only_its_canonical_form_and_label():
     cls = EquivClass(MultVector(2, (1, 1, 1, 2, 2)), "x")
     assert (cls.n, cls.d, cls.zero_col) == (9, 5, True)
     assert cls.we == weight_enumerator(multvector_to_code(cls.canon))
+
+
+def test_equivclass_accepts_exactly_the_rank2_canonical_forms():
+    # One point type: d and the enumerator would describe no rank-2 code.
+    for mp in ((5, 0, 0, 0, 0), (0, 0, 0, 0, 5)):
+        with pytest.raises(ValueError, match="rank-2 canonical form"):
+            EquivClass(MultVector(0, mp))
+    for t in range(9):
+        for mp in _iter_compositions(t):
+            mv = MultVector(1, mp)
+            if mv.spans() and canonical_form(mv) == mv:
+                assert EquivClass(mv).canon == mv
+            else:
+                with pytest.raises(ValueError):
+                    EquivClass(mv)

@@ -44,9 +44,8 @@ def test_bound_json_and_csv(capsys):
 
 
 def test_bound_rejects_length_one(capsys):
-    rc, _, err = run_cli(capsys, "bound", "1")
-    assert rc == 2
-    assert "n = 1" in err
+    rc, out, err = run_cli(capsys, "bound", "1")
+    assert (rc, out, err) == (2, "", "error: n must be >= 2 (no [n, 2] code exists for n = 1)\n")
 
 
 def test_check_lcd_code(capsys):
@@ -76,6 +75,8 @@ def test_check_rejects_bad_input(capsys):
     assert rc == 2 and "error" in err
     rc, _, err = run_cli(capsys, "check", "1,w;w,w2")  # rank deficient
     assert rc == 2 and "rank deficient" in err
+    rc, out, err = run_cli(capsys, "check", "1,0;0")
+    assert (rc, out, err) == (2, "", "error: ragged rows in matrix\n")
 
 
 def test_check_matches_the_separate_measurements(capsys):
@@ -99,6 +100,8 @@ def test_construct(capsys):
     assert payload == {"a0": 1, "a": [0, 0, 1, 0, 0], "n": 4, "matrix": "1,0,0,1;0,1,0,1"}
     rc, _, err = run_cli(capsys, "construct", "1,2")
     assert rc == 2 and "error" in err
+    rc, out, err = run_cli(capsys, "construct", "x,0,0,0,0")
+    assert (rc, out, err) == (2, "", "error: invalid literal for int() with base 10: 'x'\n")
 
 
 def test_enumerate_json(capsys):
@@ -209,8 +212,21 @@ def test_empty_class_list_output(capsys):
 
 
 def test_census_rejects_bad_length(capsys):
-    rc, _, err = run_cli(capsys, "census", "1")
-    assert rc == 2 and "error" in err
+    rc, out, err = run_cli(capsys, "census", "1")
+    assert (rc, out, err) == (2, "", "error: n must be >= 2, got 1\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["enumerate", "1"], "n must be >= 2 (no [n, 2] code exists for n = 1)"),
+        (["classify", "1"], "n must be >= 2, got 1"),
+        (["verify", "--n-max", "6"], "n_max must be >= 7, got 6"),
+    ],
+)
+def test_value_errors_exit_2_with_only_the_message(capsys, argv, message):
+    rc, out, err = run_cli(capsys, *argv)
+    assert (rc, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_census_over_budget_exits_2_promptly(capsys):
