@@ -27,9 +27,9 @@ one point type), and the Gram determinant reduces to a parity formula
 in the multiplicities.  The ``all`` and ``lcd`` walks grow as n^4 (n^5
 with zero columns) and are capped by ``CENSUS_BUDGET``.  An
 ``EquivClass`` accepts only a rank-2 canonical form, so its derived d
-and weight enumerator are always those of a real class.  The
-``enumerate`` method recomputes everything from actual codewords and
-serves as the cross-validating oracle.
+and weight enumerator are always those of a real class.  The oracle
+``_census_enumerated`` recomputes everything from actual codewords and
+serves as the cross-validating check.
 
 ``verify_classification`` replays the known classification data
 (catalog, equivalence chains, weight enumerator forms, class counts)
@@ -380,34 +380,25 @@ def _census_enumerated(n: int, filt: str, include_zero_columns: bool) -> list[Eq
     return [classes[key] for key in sorted(classes)]
 
 
-def census(
-    n: int,
-    filter: str = "lcd",
-    include_zero_columns: bool = False,
-    method: str = "fast",
-) -> list[EquivClass]:
+def census(n: int, filter: str = "lcd", include_zero_columns: bool = False) -> list[EquivClass]:
     """All equivalence classes of [n, 2] codes passing the filter.
 
     Covers every multiplicity vector with m0 + sum(mp) = n (m0 = 0
     unless ``include_zero_columns``) of rank 2 that passes the filter,
-    one class per canonical form, sorted by (m0, canonical mp).  The
-    default method walks the canonical forms directly and computes d,
-    the weight enumerator and the LCD test from the multiplicities.  For
-    ``all`` and ``lcd`` it raises ValueError when its walk estimate
-    exceeds ``CENSUS_BUDGET``; ``optimal_lcd`` walks only the partitions
-    whose largest part is n - m0 - dmax(n), at most 11 at any length.
-    ``method="enumerate"`` rebuilds every code and measures it from its
+    one class per canonical form, sorted by (m0, canonical mp).  It
+    walks the canonical forms directly and computes d, the weight
+    enumerator and the LCD test from the multiplicities.  For ``all``
+    and ``lcd`` it raises ValueError when its walk estimate exceeds
+    ``CENSUS_BUDGET``; ``optimal_lcd`` walks only the partitions whose
+    largest part is n - m0 - dmax(n), at most 11 at any length.
+    ``_census_enumerated`` rebuilds every code and measures it from its
     codewords, as the cross-checking oracle.
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     if filter not in VALID_FILTERS:
         raise ValueError(f"filter must be one of {VALID_FILTERS}, got {filter!r}")
-    if method == "fast":
-        return _census_fast(n, filter, include_zero_columns)
-    if method == "enumerate":
-        return _census_enumerated(n, filter, include_zero_columns)
-    raise ValueError(f"method must be 'fast' or 'enumerate', got {method!r}")
+    return _census_fast(n, filter, include_zero_columns)
 
 
 # ---------------------------------------------------------------------------
@@ -500,17 +491,13 @@ def _label_map(n: int) -> dict[tuple[int, tuple[int, ...]], str]:
     return out
 
 
-def classify_optimal(
-    n: int,
-    include_zero_columns: bool = False,
-    method: str = "fast",
-) -> list[EquivClass]:
+def classify_optimal(n: int, include_zero_columns: bool = False) -> list[EquivClass]:
     """Census of optimal Hermitian LCD classes, labelled from the catalog.
 
     A class gets a label when some catalog tuple lies in its orbit;
     zero-column classes never do (the catalog has no zero columns).
     """
-    classes = census(n, "optimal_lcd", include_zero_columns, method)
+    classes = census(n, "optimal_lcd", include_zero_columns)
     labels = _label_map(n)
     return [EquivClass(c.canon, labels.get((c.canon.m0, c.canon.mp))) for c in classes]
 

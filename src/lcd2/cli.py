@@ -4,7 +4,7 @@ Commands: bound, check, construct, enumerate, classify, census, verify.
 Every command accepts --format {text,json,csv}.
 Exit codes: 0 on success, 1 when verification finds a failing check,
 2 on usage or parse errors and on check, construct, census or verify
-requests over the work budget.
+requests over the work budget, 141 when the reader closes stdout early.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from collections.abc import Iterable
 
@@ -350,7 +351,16 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    try:
+        rc = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader is gone (e.g. `| head`).  Point stdout at /dev/null so
+        # the flush at interpreter exit stays silent, and exit as a SIGPIPE
+        # kill would (128 + 13).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(141)
+    sys.exit(rc)
 
 
 if __name__ == "__main__":

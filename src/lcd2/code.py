@@ -4,9 +4,10 @@ A ``LinearCode`` wraps a k x n generator matrix of rank k.  The zero
 code is allowed as a 0 x n matrix so that the Hermitian dual is total
 and rank-nullity stays testable.  For k = 2 the fifteen nonzero
 codewords split into five scalar classes of size three, one per
-projective message class, which gives O(n) minimum-weight and
-weight-enumerator paths; any other dimension falls back to full
-codeword enumeration.
+projective message class, which gives an O(n) weight enumerator; any
+other dimension falls back to full codeword enumeration.  The minimum
+weight is the enumerator's least positive weight, so both share one
+codeword walk.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ class WeightEnumerator:
 
 
 def hamming_weight(v: Vec) -> int:
-    return sum(1 for e in v if e)
+    return len(v) - v.count(0)
 
 
 def _projective_reps(c: LinearCode) -> list[Vec]:
@@ -110,9 +111,7 @@ def min_weight(c: LinearCode) -> int:
     """Minimum Hamming weight over nonzero codewords."""
     if c.k == 0:
         raise ValueError("the zero code has no minimum weight")
-    if c.k == 2:
-        return min(hamming_weight(v) for v in _projective_reps(c))
-    return min(hamming_weight(v) for v in codewords(c) if any(v))
+    return weight_enumerator(c).min_positive_weight()
 
 
 def weight_enumerator(c: LinearCode) -> WeightEnumerator:

@@ -118,15 +118,17 @@ def gram(m: Mat) -> Mat:
     )
 
 
-def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
-    """Reduced row echelon form and its pivot columns.
+def _eliminate(m: Mat) -> tuple[list[list[int]], list[int], int]:
+    """Gauss-Jordan elimination: reduced rows, pivot columns, pivot product.
 
     Pivots are chosen as the first nonzero entry scanning columns left to
     right, rows top to bottom, so the result is identical on every
-    platform.
+    platform.  The product is taken over the pivot values before each is
+    scaled to 1.
     """
     rows = [list(r) for r in m.rows]
     pivots: list[int] = []
+    product = 1
     r = 0
     for c in range(m.ncols):
         pivot_row = None
@@ -137,6 +139,7 @@ def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        product = gf4.MUL[product][rows[r][c]]
         s = gf4.INV[rows[r][c]]
         rows[r] = [gf4.MUL[s][e] for e in rows[r]]
         for i in range(len(rows)):
@@ -148,6 +151,12 @@ def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
         r += 1
         if r == len(rows):
             break
+    return rows, pivots, product
+
+
+def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
+    """Reduced row echelon form and its pivot columns."""
+    rows, pivots, _ = _eliminate(m)
     return Mat(tuple(tuple(row) for row in rows), m.ncols), tuple(pivots)
 
 
@@ -156,33 +165,16 @@ def rank(m: Mat) -> int:
 
 
 def det(m: Mat) -> int:
-    """Determinant of a square matrix via elimination.
+    """Determinant of a square matrix, read off its elimination.
 
-    In characteristic 2 row swaps do not change the determinant, so the
-    result is simply the product of the pivots (0 if elimination stalls).
+    In characteristic 2 row swaps and row additions keep the
+    determinant, and scaling a row by 1/p divides it by p, so a full set
+    of pivots gives the product of the pivot values; fewer give 0.
     """
     if m.nrows != m.ncols:
         raise ValueError(f"determinant of a non-square {m.nrows}x{m.ncols} matrix")
-    k = m.nrows
-    rows = [list(r) for r in m.rows]
-    result = 1
-    for c in range(k):
-        pivot_row = None
-        for i in range(c, k):
-            if rows[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            return 0
-        rows[c], rows[pivot_row] = rows[pivot_row], rows[c]
-        result = gf4.MUL[result][rows[c][c]]
-        inv_p = gf4.INV[rows[c][c]]
-        for i in range(c + 1, k):
-            if rows[i][c]:
-                f = gf4.MUL[rows[i][c]][inv_p]
-                frow = gf4.MUL[f]
-                rows[i] = [e ^ frow[p] for e, p in zip(rows[i], rows[c])]
-    return result
+    _, pivots, product = _eliminate(m)
+    return product if len(pivots) == m.nrows else 0
 
 
 def kernel_basis(m: Mat) -> Mat:

@@ -16,6 +16,7 @@ from lcd2.classify import (
     EQUIV_CHAINS,
     EquivClass,
     MultVector,
+    _census_enumerated,
     _iter_compositions,
     _lcd_from_mult,
     _min_weight_from_mult,
@@ -264,7 +265,7 @@ def test_census_fast_equals_enumerated_oracle():
         for filt in ("all", "lcd", "optimal_lcd"):
             for izc in (False, True):
                 fast = census(n, filt, include_zero_columns=izc)
-                slow = census(n, filt, include_zero_columns=izc, method="enumerate")
+                slow = _census_enumerated(n, filt, izc)
                 assert [(c.canon, c.d, c.we, c.zero_col) for c in fast] == [
                     (c.canon, c.d, c.we, c.zero_col) for c in slow
                 ], (n, filt, izc)
@@ -276,7 +277,7 @@ def test_enumerated_oracle_checks_the_derived_enumerator(monkeypatch):
 
     monkeypatch.setattr(classify_module, "_we_from_mult", drop_last_term)
     with pytest.raises(AssertionError):
-        census(9, "all", method="enumerate")
+        _census_enumerated(9, "all", False)
 
 
 def test_enumerated_oracle_checks_the_derived_min_weight(monkeypatch):
@@ -285,7 +286,7 @@ def test_enumerated_oracle_checks_the_derived_min_weight(monkeypatch):
 
     monkeypatch.setattr(classify_module, "_min_weight_from_mult", shift_by_one)
     with pytest.raises(AssertionError):
-        census(9, "all", method="enumerate")
+        _census_enumerated(9, "all", False)
 
 
 def test_census_examples():
@@ -298,6 +299,10 @@ def test_census_examples():
     assert sum(1 for c in nineteen if c.zero_col) == 1
     with pytest.raises(ValueError):
         census(1)
+    with pytest.raises(TypeError):
+        census(7, method="fast")
+    with pytest.raises(TypeError):
+        classify_optimal(7, method="fast")
     with pytest.raises(ValueError):
         census(7, "bogus")
 

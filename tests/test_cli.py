@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import lcd2
-from helpers import random_full_rank, render_classes
+from helpers import brute_hull_dimension, brute_min_weight, random_full_rank, render_classes
 from lcd2 import code as codeops
 from lcd2.classify import MultVector, canonical_form, census, classify_optimal, code_to_multvector
 from lcd2.cli import _emit_classes, main
@@ -89,6 +89,10 @@ def test_check_matches_the_separate_measurements(capsys):
             payload = json.loads(out)
             assert payload["d"] == codeops.min_weight(code)
             assert payload["hermitian_lcd"] == codeops.is_hermitian_lcd(code)
+            # The library reads d from the same enumerator as cmd_check;
+            # the brute-force helpers keep the check independent.
+            assert payload["d"] == brute_min_weight(code.gen)
+            assert payload["hull_dimension"] == brute_hull_dimension(code)
 
 
 def test_construct(capsys):
@@ -307,3 +311,22 @@ def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     out = capsys.readouterr().out
     assert "census" in out and "verify" in out
+
+
+def test_closed_stdout_exits_141_without_a_traceback():
+    # census 60 --filter all writes far more than a 64 KB pipe buffer, so
+    # a write after the reader closes the pipe fails.
+    src = str(Path(lcd2.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "lcd2.cli", "census", "60", "--filter", "all"],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert first.startswith(b"n=60 filter=all ")
+    assert (proc.wait(timeout=60), err) == (141, b"")

@@ -124,6 +124,7 @@ def test_rank_against_span_enumeration():
 
 def test_det_examples():
     assert det(identity(2)) == 1
+    assert det(Mat((), 0)) == 1
     assert det(mat([[1, 1], [1, 1]])) == 0
     assert det(mat([[1, W], [W2, 1]])) == 0  # 1*1 + w*w2 = 0
     with pytest.raises(ValueError):
@@ -139,10 +140,11 @@ def test_det_2x2_cofactor_exhaustive():
 
 def test_det_multiplicative_on_random_3x3():
     rng = random.Random(17)
-    for _ in range(60):
-        a = mat([[rng.randrange(4) for _ in range(3)] for _ in range(3)])
-        b = mat([[rng.randrange(4) for _ in range(3)] for _ in range(3)])
-        assert det(matmul(a, b)) == gf4.mul(det(a), det(b))
+    for k in range(1, 5):
+        for _ in range(60):
+            a = mat([[rng.randrange(4) for _ in range(k)] for _ in range(k)])
+            b = mat([[rng.randrange(4) for _ in range(k)] for _ in range(k)])
+            assert det(matmul(a, b)) == gf4.mul(det(a), det(b)), (a, b)
 
 
 def test_kernel_basis_examples():
