@@ -12,24 +12,23 @@ lexicographically minimal image, a complete invariant.
 
 The group is A5 (60 even permutations), which makes the canonical form
 closed: sort the five multiplicities, and when all five differ and the
-sorting permutation is odd, swap the last two.  ``census`` uses this for
-orderly generation with one walker, ``_window_parts(t, top)``: the sorted
-5-part partitions of t = n - m0 with largest part top.  A rank-2 form
-has ceil(t/5) <= top <= t - 1 (a largest part of t leaves one point
-type), and the ``all`` and ``lcd`` census walk every such window.  An
-optimal code's largest part is n - m0 - dmax(n), so the distance-optimal
-census walks only that window: at most 11 partitions over at most 2
-values of m0, at any length.  Each walk adds the mirror image of every
-partition with distinct parts and filters (all / Hermitian LCD /
-distance-optimal Hermitian LCD) from the multiplicities alone.  Minimum
-weight is n - m0 - max(mp) (each nonzero message class zeroes exactly
-one point type), and the Gram determinant reduces to a parity formula
-in the multiplicities.  The ``all`` and ``lcd`` walks grow as n^4 (n^5
-with zero columns) and are capped by ``CENSUS_BUDGET``.  An
-``EquivClass`` accepts only a rank-2 canonical form, so its derived d
-and weight enumerator are always those of a real class.  The oracle
-``_census_enumerated`` recomputes everything from actual codewords and
-serves as the cross-validating check.
+sorting permutation is odd, swap the last two.  ``census_forms`` uses
+this for orderly generation with one walker, ``_sorted_forms``: the
+rank-2 canonical forms of t = n - m0 whose minimum weight t - max(mp)
+lies in a range, yielded in lexicographic order, each partition with
+five distinct parts followed (after its prefix's partitions) by its
+mirror, the other A5 orbit of that multiset.  The ``all`` and ``lcd``
+census take every d >= 1; the distance-optimal census takes d = dmax(n)
+alone: at most 11 partitions over at most 2 values of m0, at any length.
+The filters read the multiplicities alone: minimum weight is
+n - m0 - max(mp) (each nonzero message class zeroes exactly one point
+type), and the Gram determinant reduces to a parity formula.  The
+``all`` and ``lcd`` walks grow as n^4 (n^5 with zero columns) and are
+capped by ``CENSUS_BUDGET``.  Class objects are built only by
+``census`` and ``classify_optimal``; the command line renders (m0, mp)
+pairs.  An ``EquivClass`` accepts only a rank-2 canonical form.  The
+oracle ``_census_enumerated`` recomputes everything from actual
+codewords and serves as the cross-validating check.
 
 ``verify_classification`` replays the known classification data
 (catalog, equivalence chains, weight enumerator forms, class counts)
@@ -154,9 +153,13 @@ def multvector_to_code(mv: MultVector) -> LinearCode:
     return LinearCode(Mat((top, bot), len(cols)))
 
 
+def _atuple_mp(a: ATuple) -> tuple[int, int, int, int, int]:
+    """Point multiplicities of the parametric generator: (1+a2, 1+a1, a3, a4, a5)."""
+    return (1 + a.a2, 1 + a.a1, a.a3, a.a4, a.a5)
+
+
 def multvector_of_atuple(a: ATuple) -> MultVector:
-    """Column counts of the parametric generator: mp = (1+a2, 1+a1, a3, a4, a5)."""
-    return MultVector(a.a0, (1 + a.a2, 1 + a.a1, a.a3, a.a4, a.a5))
+    return MultVector(a.a0, _atuple_mp(a))
 
 
 @functools.lru_cache(maxsize=1)
@@ -183,13 +186,6 @@ def induced_point_permutations() -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(perms))
 
 
-def _odd_distinct(mp: tuple[int, ...]) -> bool:
-    """True iff the five parts differ and sorting them is an odd permutation."""
-    if len(set(mp)) < 5:
-        return False
-    return sum(mp[i] > mp[j] for i in range(5) for j in range(i + 1, 5)) % 2 == 1
-
-
 def canonical_form(mv: MultVector) -> MultVector:
     """Lexicographically minimal point-multiplicity image over the group.
 
@@ -199,10 +195,15 @@ def canonical_form(mv: MultVector) -> MultVector:
     Two dimension-2 codes are equivalent iff their canonical forms are
     equal; the zero-column count is invariant.
     """
-    best = sorted(mv.mp)
-    if _odd_distinct(mv.mp):
+    return MultVector(mv.m0, _canonical_mp(mv.mp))
+
+
+def _canonical_mp(mp: tuple[int, ...]) -> tuple[int, ...]:
+    """The sorted parts, the last two swapped if all differ and sorting is odd."""
+    best = sorted(mp)
+    if len(set(mp)) == 5 and sum(x > y for i, x in enumerate(mp) for y in mp[i + 1:]) % 2:
         best[3], best[4] = best[4], best[3]
-    return MultVector(mv.m0, tuple(best))
+    return tuple(best)
 
 
 def are_equivalent(c1: LinearCode, c2: LinearCode) -> bool:
@@ -240,9 +241,11 @@ def representative_atuple(mv: MultVector) -> ATuple:
 # identity term of the Burnside count of sorted 5-part partitions of t,
 # which the exact count exceeds by 14% at n = 150 and by 26% at n = 100
 # with zero columns.  The budget admits n <= 161, or n <= 78 with zero
-# columns; census(150, "all") walks 213k partitions into 378k classes (1.4
-# s and 123 MB peak RSS on a 2-vCPU x86-64 machine).  The ``optimal_lcd``
-# walk is a window of at most 11 partitions and needs no budget.
+# columns; census(150, "all") walks 213k partitions into 378k classes (1.6
+# s and 117 MB peak RSS on a 2-vCPU x86-64 machine; ``lcd2 census 150
+# --filter all --format json``, which keeps only the (m0, mp) pairs,
+# peaks at 72 MB).  The ``optimal_lcd`` walk is at most 11 partitions
+# and needs no budget.
 CENSUS_BUDGET = 250_000
 
 
@@ -290,60 +293,29 @@ def _we_from_mult(n: int, m0: int, mp: tuple[int, ...]) -> WeightEnumerator:
     return WeightEnumerator(tuple(counts))
 
 
-def _window_parts(t: int, top: int):
-    """Nondecreasing 5-part partitions of t whose largest part is top."""
-    s = t - top
-    for p0 in range(max(0, s - 3 * top), s // 4 + 1):
-        r0 = s - p0
-        for p1 in range(max(p0, r0 - 2 * top), r0 // 3 + 1):
-            r1 = r0 - p1
-            for p2 in range(max(p1, r1 - top), r1 // 2 + 1):
-                yield (p0, p1, p2, r1 - p2, top)
+def _sorted_forms(t: int, d_lo: int, d_hi: int):
+    """Rank-2 canonical forms of t with d = t - max part in d_lo..d_hi >= 1,
+    in lexicographic order.
 
-
-def _census_fast(n: int, filt: str, include_zero_columns: bool) -> list[EquivClass]:
-    """Orderly generation: every canonical form is produced exactly once.
-
-    The rank-2 canonical forms with m0 zero columns are the sorted
-    partitions of t = n - m0 with largest part top in ceil(t/5)..t - 1,
-    walked one window of equal top at a time, plus, for each partition
-    with five distinct parts, its mirror with the last two parts swapped
-    (the other A5 orbit of that multiset).  An optimal code has largest
-    part n - m0 - dmax(n) and its four other parts sum to dmax(n), so
-    ``optimal_lcd`` walks only that window, and only the m0 that leave
-    the largest part at least dmax(n)/4.
+    d is the sum of the four smaller parts and no part exceeds t - d_lo,
+    which bounds each loop so that no visited prefix (p0, p1, p2) is
+    empty.  Under a prefix come the sorted partitions, p3 ascending, then
+    the mirrors (p0, p1, p2, p4, p3) of the five-distinct ones, p3
+    descending: a mirror's fourth entry exceeds every unmirrored one's.
     """
-    if filt == "optimal_lcd":
-        d_opt = dmax(n)
-        m0_last = n - d_opt - (d_opt + 3) // 4 if include_zero_columns else 0
-    else:
-        # C(t+4, 4)/120 over the walked t = n - m0; t = 2..n sums by the
-        # hockey-stick identity.
-        if include_zero_columns:
-            estimate = (math.comb(n + 5, 5) - 6) // 120
-        else:
-            estimate = math.comb(n + 4, 4) // 120
-        if estimate > CENSUS_BUDGET:
-            raise ValueError(
-                f"census of length {n} would walk about {estimate} partitions, "
-                f"above the budget of {CENSUS_BUDGET}"
-            )
-        d_opt = None
-        m0_last = n - 2 if include_zero_columns else 0
-    classes = []
-    for m0 in range(m0_last + 1):
-        t = n - m0
-        tops = range(-(-t // 5), t) if d_opt is None else (t - d_opt,)
-        forms = []
-        for top in tops:
-            for p in _window_parts(t, top):
-                forms.append(p)
-                if p[0] < p[1] < p[2] < p[3] < p[4]:
-                    forms.append((p[0], p[1], p[2], p[4], p[3]))
-        if filt != "all":
-            forms = [mp for mp in forms if _lcd_from_mult(mp)]
-        classes.extend(EquivClass(MultVector(m0, mp)) for mp in sorted(forms))
-    return classes
+    top = t - d_lo
+    for p0 in range(max(0, t - 4 * top), min(t // 5, d_hi // 4) + 1):
+        for p1 in range(max(p0, t - 3 * top - p0), min((t - p0) // 4, (d_hi - p0) // 3) + 1):
+            q1 = p0 + p1
+            for p2 in range(max(p1, t - 2 * top - q1), min((t - q1) // 3, (d_hi - q1) // 2) + 1):
+                q = q1 + p2
+                r = t - q
+                lo, hi = max(p2, d_lo - q), min(r // 2, d_hi - q)
+                for p3 in range(lo, hi + 1):
+                    yield (p0, p1, p2, p3, r - p3)
+                if p0 < p1 < p2:
+                    for p3 in range(min(hi, (r - 1) // 2), max(lo, p2 + 1) - 1, -1):
+                        yield (p0, p1, p2, r - p3, p3)
 
 
 def _iter_compositions(total: int):
@@ -366,7 +338,7 @@ def _census_enumerated(n: int, filt: str, include_zero_columns: bool) -> list[Eq
                 continue
             c = multvector_to_code(mv)
             we = codeops.weight_enumerator(c)
-            d = codeops.min_weight(c)
+            d = we.min_positive_weight()
             cls = EquivClass(canonical_form(mv))
             if d != cls.d or we != cls.we:
                 raise AssertionError(
@@ -378,6 +350,34 @@ def _census_enumerated(n: int, filt: str, include_zero_columns: bool) -> list[Eq
                 continue
             classes[(cls.canon.m0, cls.canon.mp)] = cls
     return [classes[key] for key in sorted(classes)]
+
+
+def census_forms(n: int, filter: str = "lcd", include_zero_columns: bool = False):
+    """The canonical forms (m0, mp) of ``census(n, filter, include_zero_columns)``,
+    in census order.  Raises ``census``'s ValueErrors at the call."""
+    if n < 2:
+        raise ValueError(f"n must be >= 2, got {n}")
+    if filter not in VALID_FILTERS:
+        raise ValueError(f"filter must be one of {VALID_FILTERS}, got {filter!r}")
+    if filter == "optimal_lcd":
+        # The largest part t - d_lo of an optimal form is at least d_lo/4.
+        d_lo = d_hi = dmax(n)
+        m0_last = n - d_lo - (d_lo + 3) // 4 if include_zero_columns else 0
+    else:
+        # C(t+4, 4)/120 over the walked t = n - m0; t = 2..n sums by the
+        # hockey-stick identity.
+        estimate = (math.comb(n + 5, 5) - 6 if include_zero_columns else math.comb(n + 4, 4)) // 120
+        if estimate > CENSUS_BUDGET:
+            raise ValueError(
+                f"census of length {n} would walk about {estimate} partitions, "
+                f"above the budget of {CENSUS_BUDGET}"
+            )
+        d_lo, d_hi = 1, n
+        m0_last = n - 2 if include_zero_columns else 0
+    forms = ((m0, mp) for m0 in range(m0_last + 1) for mp in _sorted_forms(n - m0, d_lo, d_hi))
+    if filter == "all":
+        return forms
+    return ((m0, mp) for m0, mp in forms if _lcd_from_mult(mp))
 
 
 def census(n: int, filter: str = "lcd", include_zero_columns: bool = False) -> list[EquivClass]:
@@ -394,11 +394,8 @@ def census(n: int, filter: str = "lcd", include_zero_columns: bool = False) -> l
     ``_census_enumerated`` rebuilds every code and measures it from its
     codewords, as the cross-checking oracle.
     """
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
-    if filter not in VALID_FILTERS:
-        raise ValueError(f"filter must be one of {VALID_FILTERS}, got {filter!r}")
-    return _census_fast(n, filter, include_zero_columns)
+    forms = census_forms(n, filter, include_zero_columns)
+    return [EquivClass(MultVector(m0, mp)) for m0, mp in forms]
 
 
 # ---------------------------------------------------------------------------
@@ -481,8 +478,7 @@ def _label_map(n: int) -> dict[tuple[int, tuple[int, ...]], str]:
     """Canonical form -> catalog label for the classes present at length n."""
     by_canon: dict[tuple[int, tuple[int, ...]], list[Family]] = {}
     for family_row, a in fam.family_tuples(n):
-        canon = canonical_form(multvector_of_atuple(a))
-        by_canon.setdefault((canon.m0, canon.mp), []).append(family_row)
+        by_canon.setdefault((a.a0, _canonical_mp(_atuple_mp(a))), []).append(family_row)
     priority = CLASS_REPRESENTATIVE_LABELS[n % 5]
     out = {}
     for key, rows in by_canon.items():
@@ -497,9 +493,9 @@ def classify_optimal(n: int, include_zero_columns: bool = False) -> list[EquivCl
     A class gets a label when some catalog tuple lies in its orbit;
     zero-column classes never do (the catalog has no zero columns).
     """
-    classes = census(n, "optimal_lcd", include_zero_columns)
+    forms = census_forms(n, "optimal_lcd", include_zero_columns)
     labels = _label_map(n)
-    return [EquivClass(c.canon, labels.get((c.canon.m0, c.canon.mp))) for c in classes]
+    return [EquivClass(MultVector(m0, mp), labels.get((m0, mp))) for m0, mp in forms]
 
 
 @dataclass(frozen=True)

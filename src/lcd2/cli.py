@@ -99,13 +99,12 @@ _CLASS_CSV_HEADER = [
 ]
 
 
-def _class_fields(c: cls.EquivClass) -> tuple:
-    """What a class row shows, derived once: n, d, m0, mp, the representative
-    entries a1..a5, the label, the weight enumerator and the zero-column flag."""
-    mp = c.canon.mp
-    return (
-        c.n, c.d, c.canon.m0, mp, cls.representative_entries(mp), c.label, c.we, c.zero_col
-    )
+def _class_fields(n: int, m0: int, mp: tuple, label: str | None) -> tuple:
+    """What a class row shows, derived once from its canonical form: n, d, m0,
+    mp, the representative entries a1..a5, the label, the weight enumerator
+    and the zero-column flag."""
+    d, we = cls._min_weight_from_mult(n, m0, mp), cls._we_from_mult(n, m0, mp)
+    return (n, d, m0, mp, cls.representative_entries(mp), label, we, m0 > 0)
 
 
 def _class_csv_row(n, d, m0, mp, a, label, we, zero_col) -> list:
@@ -165,25 +164,23 @@ def _class_json(n, d, m0, mp, a, label, we, zero_col) -> str:
     )
 
 
-def _emit_classes(classes: list[cls.EquivClass], args: argparse.Namespace, header: str) -> None:
-    """Write the classes to stdout one at a time.
+def _emit_classes(n: int, forms: Iterable, labels: dict, args: argparse.Namespace, header: str):
+    """Write the classes of the canonical forms (m0, mp) to stdout one at a time.
 
     JSON is byte for byte ``json.dumps(classes, indent=2)`` of the class
     objects in the README schema; text and CSV are the header and one line
-    per class.  Every format renders the same ``_class_fields``.
+    per class.  Every format renders the same ``_class_fields``, labelled
+    from ``labels`` by (m0, mp).
     """
     out = sys.stdout
-    rows = map(_class_fields, classes)
+    rows = (_class_fields(n, m0, mp, labels.get((m0, mp))) for m0, mp in forms)
     if args.format == "json":
-        if not classes:
-            out.write("[]\n")
-            return
         sep = "[\n"
         for row in rows:
             out.write(sep)
             out.write(_class_json(*row))
             sep = ",\n"
-        out.write("\n]\n")
+        out.write("[]\n" if sep == "[\n" else "\n]\n")
     elif args.format == "csv":
         _print_csv(_CLASS_CSV_HEADER, (_class_csv_row(*row) for row in rows))
     else:
@@ -286,22 +283,22 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    classes = cls.classify_optimal(args.n, args.include_zero_columns)
+    forms = list(cls.census_forms(args.n, "optimal_lcd", args.include_zero_columns))
     header = (
-        f"n={args.n} optimal classes={len(classes)} "
+        f"n={args.n} optimal classes={len(forms)} "
         f"include_zero_columns={str(args.include_zero_columns).lower()}"
     )
-    _emit_classes(classes, args, header)
+    _emit_classes(args.n, forms, cls._label_map(args.n), args, header)
     return 0
 
 
 def cmd_census(args: argparse.Namespace) -> int:
-    classes = cls.census(args.n, args.filter, args.include_zero_columns)
+    forms = list(cls.census_forms(args.n, args.filter, args.include_zero_columns))
     header = (
-        f"n={args.n} filter={args.filter} classes={len(classes)} "
+        f"n={args.n} filter={args.filter} classes={len(forms)} "
         f"include_zero_columns={str(args.include_zero_columns).lower()}"
     )
-    _emit_classes(classes, args, header)
+    _emit_classes(args.n, forms, {}, args, header)
     return 0
 
 

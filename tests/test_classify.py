@@ -21,10 +21,11 @@ from lcd2.classify import (
     _lcd_from_mult,
     _min_weight_from_mult,
     _we_from_mult,
-    _window_parts,
+    _sorted_forms,
     are_equivalent,
     canonical_form,
     census,
+    census_forms,
     classify_optimal,
     code_to_multvector,
     expected_optimal_class_count,
@@ -185,19 +186,28 @@ def test_census_refuses_walks_over_budget():
     with pytest.raises(ValueError, match="budget"):
         census(162, "all")
     with pytest.raises(ValueError, match="budget"):
+        census_forms(162, "all")
+    with pytest.raises(ValueError, match="budget"):
         census(79, "lcd", include_zero_columns=True)
 
 
-def test_window_parts_match_brute_force_partitions():
-    # Sorted 5-tuples over 0..30 bucketed by (sum, largest part): every
-    # partition of t <= 30 has its parts in that range.
-    expected: dict[tuple[int, int], list] = {}
-    for p in itertools.combinations_with_replacement(range(31), 5):
-        if sum(p) <= 30:
-            expected.setdefault((sum(p), p[4]), []).append(p)
-    for t in range(31):
-        for top in range(t + 1):
-            assert sorted(_window_parts(t, top)) == expected.get((t, top), []), (t, top)
+def test_sorted_forms_match_the_sorted_group_minima():
+    # Reference: the minima over the 60 induced permutations of the rank-2
+    # compositions of t, bucketed by d = t - max part, for every d range.
+    perms = induced_point_permutations()
+    for t in range(17):
+        by_d: dict[int, set] = {}
+        for head in itertools.product(range(t + 1), repeat=4):
+            last = t - sum(head)
+            mp = (*head, last)
+            if last < 0 or max(mp) == t:
+                continue
+            image = min(tuple(mp[p[i]] for i in range(5)) for p in perms)
+            by_d.setdefault(t - max(mp), set()).add(image)
+        for d_lo in range(1, t + 1):
+            for d_hi in range(d_lo, t + 1):
+                expected = sorted(set().union(*(by_d.get(d, ()) for d in range(d_lo, d_hi + 1))))
+                assert list(_sorted_forms(t, d_lo, d_hi)) == expected, (t, d_lo, d_hi)
 
 
 def test_optimal_window_equals_full_lcd_walk():
@@ -299,12 +309,16 @@ def test_census_examples():
     assert sum(1 for c in nineteen if c.zero_col) == 1
     with pytest.raises(ValueError):
         census(1)
+    with pytest.raises(ValueError):
+        census_forms(1)
     with pytest.raises(TypeError):
         census(7, method="fast")
     with pytest.raises(TypeError):
         classify_optimal(7, method="fast")
     with pytest.raises(ValueError):
         census(7, "bogus")
+    with pytest.raises(ValueError):
+        census_forms(7, "bogus")
 
 
 def test_census_validates_multiplicity_fast_paths():

@@ -14,7 +14,14 @@ import pytest
 import lcd2
 from helpers import brute_hull_dimension, brute_min_weight, random_full_rank, render_classes
 from lcd2 import code as codeops
-from lcd2.classify import MultVector, canonical_form, census, classify_optimal, code_to_multvector
+from lcd2.classify import (
+    EquivClass,
+    MultVector,
+    canonical_form,
+    census,
+    classify_optimal,
+    code_to_multvector,
+)
 from lcd2.cli import _emit_classes, main
 from lcd2.code import LinearCode
 from lcd2.family import ATuple, build_generator
@@ -209,10 +216,40 @@ def test_classify_output_matches_the_reference_rendering(capsys):
 
 def test_empty_class_list_output(capsys):
     for fmt in FORMATS:
-        _emit_classes([], argparse.Namespace(format=fmt), "header")
+        _emit_classes(2, [], {}, argparse.Namespace(format=fmt), "header")
         assert capsys.readouterr().out == render_classes([], fmt, "header")
-    _emit_classes([], argparse.Namespace(format="json"), "header")
+    _emit_classes(2, [], {}, argparse.Namespace(format="json"), "header")
     assert capsys.readouterr().out == "[]\n"
+
+
+def test_census_and_classify_build_no_class_objects(capsys, monkeypatch):
+    # Expected bytes come from the class objects; the CLI then runs with
+    # both constructors refusing, so it must render from (m0, mp) alone.
+    cases = [
+        (
+            ["census", "30", "--filter", "all"],
+            census(30, "all"),
+            "n=30 filter=all classes={} include_zero_columns=false",
+        ),
+        (
+            ["classify", "29", "--include-zero-columns"],
+            classify_optimal(29, True),
+            "n=29 optimal classes={} include_zero_columns=true",
+        ),
+    ]
+    expected = {
+        (*argv, "--format", fmt): render_classes(classes, fmt, header.format(len(classes)))
+        for argv, classes, header in cases
+        for fmt in FORMATS
+    }
+
+    def refuse(self):
+        raise AssertionError(f"built a {type(self).__name__}")
+
+    monkeypatch.setattr(EquivClass, "__post_init__", refuse)
+    monkeypatch.setattr(MultVector, "__post_init__", refuse)
+    for argv, out in expected.items():
+        assert run_cli(capsys, *argv) == (0, out, ""), argv
 
 
 def test_census_rejects_bad_length(capsys):
