@@ -244,8 +244,8 @@ def representative_atuple(mv: MultVector) -> ATuple:
 # columns; census(150, "all") walks 213k partitions into 378k classes (1.6
 # s and 117 MB peak RSS on a 2-vCPU x86-64 machine; ``lcd2 census 150
 # --filter all --format json``, which keeps only the (m0, mp) pairs,
-# peaks at 72 MB).  The ``optimal_lcd`` walk is at most 11 partitions
-# and needs no budget.
+# takes 4.0-4.5 s and peaks at 72 MB, most of it writing rows).  The
+# ``optimal_lcd`` walk is at most 11 partitions and needs no budget.
 CENSUS_BUDGET = 250_000
 
 
@@ -260,11 +260,9 @@ def _lcd_from_mult(mp: tuple[int, ...]) -> bool:
 
     over GF(2), where the norm term vanishes iff e3 = e4 = e5.
     """
-    e = [x & 1 for x in mp]
-    a = (e[0] + e[2] + e[3] + e[4]) & 1
-    d = (e[1] + e[2] + e[3] + e[4]) & 1
-    norm_b = 0 if e[2] == e[3] == e[4] else 1
-    return ((a & d) ^ norm_b) == 1
+    a, b, c, d, e = mp
+    s = c + d + e
+    return (a + s) & (b + s) & 1 != ((c ^ d) | (d ^ e)) & 1
 
 
 def _min_weight_from_mult(n: int, m0: int, mp: tuple[int, ...]) -> int:
@@ -272,25 +270,31 @@ def _min_weight_from_mult(n: int, m0: int, mp: tuple[int, ...]) -> int:
     return n - m0 - max(mp)
 
 
-def _we_from_mult(n: int, m0: int, mp: tuple[int, ...]) -> WeightEnumerator:
-    """Weight enumerator of a rank-2 canonical form, in weight order.
+def _we_terms(t: int, mp: tuple[int, ...]) -> list[tuple[int, int]]:
+    """(w, A_w) of the nonzero codewords of a rank-2 canonical form of
+    t = n - m0, in weight order.
 
-    Each point type of multiplicity p gives 3 codewords of weight
-    n - m0 - p, so weights ascend as parts descend: the canonical parts
-    in reverse, with the last two reordered if the parity swap exchanged
-    them.  Rank 2 keeps every part below n - m0, so no weight is 0.
+    Each point type of multiplicity p gives 3 codewords of weight t - p,
+    so weights ascend as parts descend: the canonical parts in reverse,
+    with the last two reordered if the parity swap exchanged them.  Rank 2
+    keeps every part below t, so no weight is 0.
     """
-    t = n - m0
     p4, p3 = (mp[4], mp[3]) if mp[4] >= mp[3] else (mp[3], mp[4])
-    counts = [(0, 1)]
+    terms = []
     last = None
     for p in (p4, p3, mp[2], mp[1], mp[0]):
         if p == last:
-            counts[-1] = (t - p, counts[-1][1] + 3)
+            terms[-1] = (t - p, terms[-1][1] + 3)
         else:
-            counts.append((t - p, 3))
+            terms.append((t - p, 3))
             last = p
-    return WeightEnumerator(tuple(counts))
+    return terms
+
+
+def _we_from_mult(n: int, m0: int, mp: tuple[int, ...]) -> WeightEnumerator:
+    """Weight enumerator of a rank-2 canonical form: the zero word, then
+    ``_we_terms``."""
+    return WeightEnumerator(((0, 1), *_we_terms(n - m0, mp)))
 
 
 def _sorted_forms(t: int, d_lo: int, d_hi: int):

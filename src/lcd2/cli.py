@@ -86,106 +86,102 @@ def _we_jsonable(we: codeops.WeightEnumerator) -> dict[str, int]:
     return {str(w): c for w, c in we.counts}
 
 
-_CLASS_CSV_HEADER = [
-    "n",
-    "d",
-    "m0",
-    "mp",
-    "representative_a",
-    "a0",
-    "label",
-    "weight_enumerator",
-    "dual_min_weight_one",
-]
+_CLASS_CSV_HEADER = "n,d,m0,mp,representative_a,a0,label,weight_enumerator,dual_min_weight_one\n"
 
 
-def _class_fields(n: int, m0: int, mp: tuple, label: str | None) -> tuple:
-    """What a class row shows, derived once from its canonical form: n, d, m0,
-    mp, the representative entries a1..a5, the label, the weight enumerator
-    and the zero-column flag."""
-    d, we = cls._min_weight_from_mult(n, m0, mp), cls._we_from_mult(n, m0, mp)
-    return (n, d, m0, mp, cls.representative_entries(mp), label, we, m0 > 0)
+def _csv_field(field: str) -> str:
+    """``field`` as ``csv.writer(..., lineterminator="\\n")`` writes it under
+    its default QUOTE_MINIMAL: quoted, with quotes doubled, when it holds
+    the delimiter, the quote character or the line terminator."""
+    if "," in field or '"' in field or "\n" in field:
+        return '"' + field.replace('"', '""') + '"'
+    return field
 
 
-def _class_csv_row(n, d, m0, mp, a, label, we, zero_col) -> list:
-    return [
-        n,
-        d,
-        m0,
-        " ".join(map(str, mp)),
-        " ".join(map(str, a)),
-        m0,
-        label or "",
-        we.poly_string(),
-        "true" if zero_col else "false",
-    ]
+class _Terms(dict):
+    """Weight-enumerator terms by (w, A_w), each formatted with ``template``
+    on first use and reused for the rest of one output: at most 4(n + 1)
+    of them, as weights are at most n and counts are 3, 6, 9 or 12."""
 
+    def __init__(self, template: str):
+        super().__init__()
+        self.template = template
 
-def _class_text_line(n, d, m0, mp, a, label, we, zero_col) -> str:
-    return (
-        f"m0={m0} mp={','.join(map(str, mp))} d={d} "
-        f"a={','.join(map(str, a))} label={label or '-'} "
-        f"dual_min_weight_one={'true' if zero_col else 'false'} we={we.poly_string()}\n"
-    )
-
-
-def _class_json(n, d, m0, mp, a, label, we, zero_col) -> str:
-    """One class as ``json.dumps(classes, indent=2)`` renders it in the array."""
-    label_json = "null" if label is None else json.dumps(label)
-    we_lines = ",\n".join(f'      "{w}": {count}' for w, count in we.counts)
-    return (
-        "  {\n"
-        f'    "n": {n},\n'
-        f'    "d": {d},\n'
-        '    "canonical": {\n'
-        f'      "m0": {m0},\n'
-        '      "mp": [\n'
-        f"        {mp[0]},\n"
-        f"        {mp[1]},\n"
-        f"        {mp[2]},\n"
-        f"        {mp[3]},\n"
-        f"        {mp[4]}\n"
-        "      ]\n"
-        "    },\n"
-        '    "representative_a": [\n'
-        f"      {a[0]},\n"
-        f"      {a[1]},\n"
-        f"      {a[2]},\n"
-        f"      {a[3]},\n"
-        f"      {a[4]}\n"
-        "    ],\n"
-        f'    "a0": {m0},\n'
-        f'    "label": {label_json},\n'
-        '    "weight_enumerator": {\n'
-        f"{we_lines}\n"
-        "    },\n"
-        f'    "dual_min_weight_one": {"true" if zero_col else "false"}\n'
-        "  }"
-    )
+    def __missing__(self, key: tuple[int, int]) -> str:
+        text = self[key] = self.template.format(*key)
+        return text
 
 
 def _emit_classes(n: int, forms: Iterable, labels: dict, args: argparse.Namespace, header: str):
-    """Write the classes of the canonical forms (m0, mp) to stdout one at a time.
+    """Write the classes of the canonical forms (m0, mp) to stdout, one string per class.
 
-    JSON is byte for byte ``json.dumps(classes, indent=2)`` of the class
-    objects in the README schema; text and CSV are the header and one line
-    per class.  Every format renders the same ``_class_fields``, labelled
-    from ``labels`` by (m0, mp).
+    Each row is one f-string of (m0, mp) with t = n - m0: d = t - max(p3, p4),
+    the representative entries from ``representative_entries``, the label
+    from ``labels`` by (m0, mp) and the enumerator terms from ``_we_terms``,
+    each distinct term rendered once per call.  JSON is byte for byte
+    ``json.dumps(classes, indent=2)`` of the class objects in the README
+    schema; CSV is byte for byte what ``csv.writer`` writes for the header
+    and rows; text is the header and one line per class.
     """
+    fmt = args.format
+    terms = _Terms(',\n      "{0}": {1}' if fmt == "json" else "+{1}y^{0}")
     out = sys.stdout
-    rows = (_class_fields(n, m0, mp, labels.get((m0, mp))) for m0, mp in forms)
-    if args.format == "json":
-        sep = "[\n"
-        for row in rows:
-            out.write(sep)
-            out.write(_class_json(*row))
-            sep = ",\n"
-        out.write("[]\n" if sep == "[\n" else "\n]\n")
-    elif args.format == "csv":
-        _print_csv(_CLASS_CSV_HEADER, (_class_csv_row(*row) for row in rows))
-    else:
+    if fmt == "csv":
+        out.write(_CLASS_CSV_HEADER)
+    elif fmt == "text":
         out.write(header + "\n")
-        out.writelines(_class_text_line(*row) for row in rows)
+    sep = "[\n"
+    for m0, mp in forms:
+        t = n - m0
+        p0, p1, p2, p3, p4 = mp
+        d = t - max(p3, p4)
+        a1, a2, a3, a4, a5 = cls.representative_entries(mp)
+        we = "".join(map(terms.__getitem__, cls._we_terms(t, mp)))
+        label = labels.get((m0, mp))
+        zero_col = "true" if m0 else "false"
+        if fmt == "json":
+            out.write(
+                f"{sep}  {{\n"
+                f'    "n": {n},\n'
+                f'    "d": {d},\n'
+                '    "canonical": {\n'
+                f'      "m0": {m0},\n'
+                '      "mp": [\n'
+                f"        {p0},\n"
+                f"        {p1},\n"
+                f"        {p2},\n"
+                f"        {p3},\n"
+                f"        {p4}\n"
+                "      ]\n"
+                "    },\n"
+                '    "representative_a": [\n'
+                f"      {a1},\n"
+                f"      {a2},\n"
+                f"      {a3},\n"
+                f"      {a4},\n"
+                f"      {a5}\n"
+                "    ],\n"
+                f'    "a0": {m0},\n'
+                f'    "label": {"null" if label is None else json.dumps(label)},\n'
+                '    "weight_enumerator": {\n'
+                f'      "0": 1{we}\n'
+                "    },\n"
+                f'    "dual_min_weight_one": {zero_col}\n'
+                "  }"
+            )
+            sep = ",\n"
+        elif fmt == "csv":
+            out.write(
+                f"{n},{d},{m0},{p0} {p1} {p2} {p3} {p4},{a1} {a2} {a3} {a4} {a5},{m0},"
+                f"{_csv_field(label or '')},1{we},{zero_col}\n"
+            )
+        else:
+            out.write(
+                f"m0={m0} mp={p0},{p1},{p2},{p3},{p4} d={d} a={a1},{a2},{a3},{a4},{a5} "
+                f"label={label or '-'} dual_min_weight_one={zero_col} we=1{we}\n"
+            )
+    if fmt == "json":
+        out.write("[]\n" if sep == "[\n" else "\n]\n")
 
 
 def cmd_bound(args: argparse.Namespace) -> int:

@@ -22,9 +22,9 @@ from lcd2.classify import (
     classify_optimal,
     code_to_multvector,
 )
-from lcd2.cli import _emit_classes, main
+from lcd2.cli import _csv_field, _emit_classes, main
 from lcd2.code import LinearCode
-from lcd2.family import ATuple, build_generator
+from lcd2.family import ATuple, build_generator, family_catalog
 from lcd2.linalg import format_matrix
 
 
@@ -212,6 +212,28 @@ def test_classify_output_matches_the_reference_rendering(capsys):
                 assert rc == 0
                 assert out == render_classes(classes, fmt, header), (n, zero, fmt)
     assert None in labels and len(labels) > 10
+
+
+def test_classify_at_huge_lengths_matches_the_reference_rendering(capsys):
+    # Labelled rows with zero columns and weights near 10^9, beyond the
+    # lengths the reference test above reaches.
+    for n, zero in ((1000000004, True), (1000001, False)):
+        classes = classify_optimal(n, zero)
+        assert any(c.label for c in classes) and any(c.canon.m0 for c in classes) == zero
+        header = f"n={n} optimal classes={len(classes)} include_zero_columns={str(zero).lower()}"
+        for fmt in FORMATS:
+            argv = ["classify", str(n), "--format", fmt]
+            rc, out, _ = run_cli(capsys, *argv, *(["--include-zero-columns"] if zero else []))
+            assert rc == 0
+            assert out == render_classes(classes, fmt, header), (n, zero, fmt)
+
+
+def test_csv_field_quotes_as_csv_writer_does():
+    fields = [f.label for f in family_catalog()] + ["", 'a"b', "a\nb", "a\rb"]
+    for field in fields:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerow(["x", field, "y"])
+        assert buf.getvalue() == f"x,{_csv_field(field)},y\n", field
 
 
 def test_empty_class_list_output(capsys):
