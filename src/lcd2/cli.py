@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -23,7 +24,10 @@ from .code import LinearCode
 from .linalg import format_matrix, parse_matrix
 
 
-def _common_options() -> argparse.ArgumentParser:
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every
+    ``main`` call in the process (parsing leaves it unchanged)."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format",
@@ -31,11 +35,6 @@ def _common_options() -> argparse.ArgumentParser:
         default="text",
         help="output format (default: text)",
     )
-    return common
-
-
-def build_parser() -> argparse.ArgumentParser:
-    common = _common_options()
     parser = argparse.ArgumentParser(
         prog="lcd2",
         description=(

@@ -75,15 +75,6 @@ def identity(k: int) -> Mat:
     return Mat(tuple(tuple(1 if i == j else 0 for j in range(k)) for i in range(k)), k)
 
 
-def vec_add(u: Vec, v: Vec) -> Vec:
-    return tuple(x ^ y for x, y in zip(u, v))
-
-
-def vec_scale(c: int, u: Vec) -> Vec:
-    row = gf4.MUL[c]
-    return tuple(row[x] for x in u)
-
-
 def hermitian_inner(u: Vec, v: Vec) -> int:
     """(u, v)_h = sum_i u_i * conj(v_i)."""
     if len(u) != len(v):

@@ -2,6 +2,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import random
 import subprocess
@@ -22,7 +23,7 @@ from lcd2.classify import (
     classify_optimal,
     code_to_multvector,
 )
-from lcd2.cli import _csv_field, _emit_classes, main
+from lcd2.cli import _csv_field, _emit_classes, build_parser, main
 from lcd2.code import LinearCode
 from lcd2.family import ATuple, build_generator, family_catalog
 from lcd2.linalg import format_matrix
@@ -333,6 +334,33 @@ def test_check_over_budget_exits_2_promptly(capsys):
     assert rc == 2 and out == ""
     assert "budget" in err
     assert time.perf_counter() - start < 2.0
+
+
+def test_check_admits_a_nine_dimensional_code(capsys):
+    # [I_9 | 0]: 4^9 codewords, but (4^9 - 1)/3 scalar classes of length 10
+    # fit the budget.
+    matrix = ";".join(",".join("1" if j == i else "0" for j in range(10)) for i in range(9))
+    start = time.perf_counter()
+    rc, out, err = run_cli(capsys, "check", matrix)
+    assert time.perf_counter() - start < 2.0
+    poly = "+".join(["1"] + [f"{math.comb(9, w) * 3**w}y^{w}" for w in range(1, 10)])
+    assert (rc, err) == (0, "")
+    assert out == (
+        "n = 10\nk = 9\nd = 1\nhull_dimension = 0\nhermitian_lcd = true\n"
+        f"weight_enumerator = {poly}\n"
+    )
+
+
+def test_repeated_main_calls_share_one_parser_without_leaking_state(capsys):
+    rc, out, _ = run_cli(capsys, "census", "7", "--filter", "all")
+    assert rc == 0 and out.startswith("n=7 filter=all ")
+    rc, out, _ = run_cli(capsys, "census", "7", "--filter", "nope")
+    assert rc == 2 and out == ""
+    rc, out, _ = run_cli(capsys, "census", "7")
+    assert rc == 0 and out.startswith("n=7 filter=lcd ")
+    rc, out, _ = run_cli(capsys, "--help")
+    assert rc == 0 and "census" in out
+    assert build_parser() is build_parser()
 
 
 def test_import_loads_no_numpy_or_process_pool():

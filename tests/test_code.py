@@ -1,12 +1,15 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     brute_hull_dimension,
     brute_min_weight,
     brute_weight_enumerator,
     random_equivalent_image,
+    random_monomial_image,
     random_rank2_matrix,
 )
 from lcd2 import gf4
@@ -23,7 +26,7 @@ from lcd2.code import (
     weight_enumerator,
 )
 from lcd2.family import ATuple, build_generator
-from lcd2.linalg import Mat, hermitian_inner, identity, mat
+from lcd2.linalg import Mat, hermitian_inner, identity, mat, rank
 
 W, W2 = gf4.OMEGA, gf4.OMEGA2
 
@@ -91,6 +94,24 @@ def test_weight_enumerator_invariants_random():
         assert all(c % 3 == 0 for w, c in we.counts if w > 0)
         assert we.as_dict() == brute_weight_enumerator(code.gen)
         assert min_weight(code) == brute_min_weight(code.gen)
+
+
+@st.composite
+def full_rank_generators(draw) -> Mat:
+    k = draw(st.integers(0, 5))
+    n = draw(st.integers(max(k, 1), 10))
+    row = st.tuples(*[st.sampled_from(gf4.ELEMENTS)] * n)
+    gen = Mat(tuple(draw(st.lists(row, min_size=k, max_size=k))), n)
+    assume(rank(gen) == k)
+    return gen
+
+
+@settings(max_examples=80, deadline=None)
+@given(full_rank_generators(), st.randoms())
+def test_weight_enumerator_matches_brute_force_and_monomial_images(gen, rng):
+    we = weight_enumerator(LinearCode(gen))
+    assert we.as_dict() == brute_weight_enumerator(gen)
+    assert weight_enumerator(LinearCode(random_monomial_image(rng, gen))) == we
 
 
 def test_hermitian_dual_examples():
