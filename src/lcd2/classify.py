@@ -12,23 +12,25 @@ lexicographically minimal image, a complete invariant.
 
 The group is A5 (60 even permutations), which makes the canonical form
 closed: sort the five multiplicities, and when all five differ and the
-sorting permutation is odd, swap the last two.  ``census_forms`` uses
-this for orderly generation with one walker, ``_sorted_forms``: the
+sorting permutation is odd, swap the last two.  ``census_runs`` uses
+this for orderly generation with one walker, ``_sorted_runs``: the
 rank-2 canonical forms of t = n - m0 whose minimum weight t - max(mp)
-lies in a range, yielded in lexicographic order, each partition with
-five distinct parts followed (after its prefix's partitions) by its
-mirror, the other A5 orbit of that multiset.  The ``all`` and ``lcd``
-census take every d >= 1; the distance-optimal census takes d = dmax(n)
-alone: at most 11 partitions over at most 2 values of m0, at any length.
-The filters read the multiplicities alone: minimum weight is
-n - m0 - max(mp) (each nonzero message class zeroes exactly one point
-type), and the Gram determinant reduces to a parity formula.  The
+lies in a range, in lexicographic order, as runs.  A run is a prefix
+(p0, p1, p2) and a range of x for the forms (p0, p1, p2, x, r - x), with
+r the rest of t: first the sorted partitions, then any mirrors of
+five-distinct ones, the other A5 orbit of each such multiset.  The
+``all`` and ``lcd`` census take every d >= 1; the distance-optimal
+census takes d = dmax(n) alone: at most 11 partitions over at most 2
+values of m0, at any length.  The filters read the multiplicities alone:
+minimum weight is n - m0 - max(mp) (each nonzero message class zeroes
+exactly one point type), and the Gram determinant reduces to a parity
+formula in which only the parity of p2 + x changes along a run.  The
 ``all`` and ``lcd`` walks grow as n^4 (n^5 with zero columns) and are
-capped by ``CENSUS_BUDGET``.  Class objects are built only by
-``census`` and ``classify_optimal``; the command line renders (m0, mp)
-pairs.  An ``EquivClass`` accepts only a rank-2 canonical form.  The
-oracle ``_census_enumerated`` recomputes everything from actual
-codewords and serves as the cross-validating check.
+capped by ``CENSUS_BUDGET``.  Class objects are built only by ``census``
+and ``classify_optimal``; the command line renders the runs.  An
+``EquivClass`` accepts only a rank-2 canonical form.  The oracle
+``_census_enumerated`` recomputes everything from actual codewords and
+serves as the cross-validating check.
 
 ``verify_classification`` replays the known classification data
 (catalog, equivalence chains, weight enumerator forms, class counts)
@@ -241,10 +243,10 @@ def representative_atuple(mv: MultVector) -> ATuple:
 # identity term of the Burnside count of sorted 5-part partitions of t,
 # which the exact count exceeds by 14% at n = 150 and by 26% at n = 100
 # with zero columns.  The budget admits n <= 161, or n <= 78 with zero
-# columns; census(150, "all") walks 213k partitions into 378k classes (1.6
+# columns; census(150, "all") walks 213k partitions into 378k classes (1.7
 # s and 117 MB peak RSS on a 2-vCPU x86-64 machine; ``lcd2 census 150
-# --filter all --format json``, which keeps only the (m0, mp) pairs,
-# takes 4.0-4.5 s and peaks at 72 MB, most of it writing rows).  The
+# --filter all --format json``, which keeps only 19k runs, takes 1.8-2.4 s
+# and peaks at 19 MB, all but 0.04 s of it writing rows).  The
 # ``optimal_lcd`` walk is at most 11 partitions and needs no budget.
 CENSUS_BUDGET = 250_000
 
@@ -270,19 +272,14 @@ def _min_weight_from_mult(n: int, m0: int, mp: tuple[int, ...]) -> int:
     return n - m0 - max(mp)
 
 
-def _we_terms(t: int, mp: tuple[int, ...]) -> list[tuple[int, int]]:
-    """(w, A_w) of the nonzero codewords of a rank-2 canonical form of
-    t = n - m0, in weight order.
-
-    Each point type of multiplicity p gives 3 codewords of weight t - p,
-    so weights ascend as parts descend: the canonical parts in reverse,
-    with the last two reordered if the parity swap exchanged them.  Rank 2
-    keeps every part below t, so no weight is 0.
-    """
-    p4, p3 = (mp[4], mp[3]) if mp[4] >= mp[3] else (mp[3], mp[4])
+def _we_terms(t: int, parts: tuple[int, ...]) -> list[tuple[int, int]]:
+    """(w, A_w) of the nonzero codewords of t = n - m0, in weight order, from
+    point types of multiplicities ``parts``, in descending order: each gives
+    3 codewords of weight t - p, and equal parts merge into one term.  Rank 2
+    keeps every part below t, so no weight is 0."""
     terms = []
     last = None
-    for p in (p4, p3, mp[2], mp[1], mp[0]):
+    for p in parts:
         if p == last:
             terms[-1] = (t - p, terms[-1][1] + 3)
         else:
@@ -293,20 +290,21 @@ def _we_terms(t: int, mp: tuple[int, ...]) -> list[tuple[int, int]]:
 
 def _we_from_mult(n: int, m0: int, mp: tuple[int, ...]) -> WeightEnumerator:
     """Weight enumerator of a rank-2 canonical form: the zero word, then
-    ``_we_terms``."""
-    return WeightEnumerator(((0, 1), *_we_terms(n - m0, mp)))
+    ``_we_terms`` of its parts, largest first."""
+    parts = (max(mp[3], mp[4]), min(mp[3], mp[4]), mp[2], mp[1], mp[0])
+    return WeightEnumerator(((0, 1), *_we_terms(n - m0, parts)))
 
 
-def _sorted_forms(t: int, d_lo: int, d_hi: int):
+def _sorted_runs(t: int, d_lo: int, d_hi: int):
     """Rank-2 canonical forms of t with d = t - max part in d_lo..d_hi >= 1,
-    in lexicographic order.
+    in lexicographic order, as runs (p0, p1, p2, xs) of the forms
+    (p0, p1, p2, x, r - x), x in the range ``xs``, r = t - p0 - p1 - p2.
 
     d is the sum of the four smaller parts and no part exceeds t - d_lo,
     which bounds each loop so that no visited prefix (p0, p1, p2) is
-    empty.  Under a prefix come the sorted partitions, p3 ascending, then
-    the mirrors (p0, p1, p2, p4, p3) of the five-distinct ones, p3
-    descending: a mirror's fourth entry exceeds every unmirrored one's.
-    """
+    empty.  Under a prefix come the sorted partitions, x = p3 ascending,
+    then any mirrors (p0, p1, p2, p4, p3) of the five-distinct ones, x = p4
+    ascending: a mirror's fourth entry exceeds every unmirrored one's."""
     top = t - d_lo
     for p0 in range(max(0, t - 4 * top), min(t // 5, d_hi // 4) + 1):
         for p1 in range(max(p0, t - 3 * top - p0), min((t - p0) // 4, (d_hi - p0) // 3) + 1):
@@ -315,11 +313,11 @@ def _sorted_forms(t: int, d_lo: int, d_hi: int):
                 q = q1 + p2
                 r = t - q
                 lo, hi = max(p2, d_lo - q), min(r // 2, d_hi - q)
-                for p3 in range(lo, hi + 1):
-                    yield (p0, p1, p2, p3, r - p3)
+                yield (p0, p1, p2, range(lo, hi + 1))
                 if p0 < p1 < p2:
-                    for p3 in range(min(hi, (r - 1) // 2), max(lo, p2 + 1) - 1, -1):
-                        yield (p0, p1, p2, r - p3, p3)
+                    mirror = range(r - min(hi, (r - 1) // 2), r - max(lo, p2 + 1) + 1)
+                    if mirror:
+                        yield (p0, p1, p2, mirror)
 
 
 def _iter_compositions(total: int):
@@ -356,9 +354,10 @@ def _census_enumerated(n: int, filt: str, include_zero_columns: bool) -> list[Eq
     return [classes[key] for key in sorted(classes)]
 
 
-def census_forms(n: int, filter: str = "lcd", include_zero_columns: bool = False):
-    """The canonical forms (m0, mp) of ``census(n, filter, include_zero_columns)``,
-    in census order.  Raises ``census``'s ValueErrors at the call."""
+def census_runs(n: int, filter: str = "lcd", include_zero_columns: bool = False):
+    """``census(n, filter, include_zero_columns)`` in census order, as non-empty
+    runs (m0, p0, p1, p2, xs) of the forms (m0, (p0, p1, p2, x, r - x)), x in
+    ``xs``, r = n - m0 - p0 - p1 - p2.  Raises ``census``'s ValueErrors at the call."""
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     if filter not in VALID_FILTERS:
@@ -378,10 +377,33 @@ def census_forms(n: int, filter: str = "lcd", include_zero_columns: bool = False
             )
         d_lo, d_hi = 1, n
         m0_last = n - 2 if include_zero_columns else 0
-    forms = ((m0, mp) for m0 in range(m0_last + 1) for mp in _sorted_forms(n - m0, d_lo, d_hi))
-    if filter == "all":
-        return forms
-    return ((m0, mp) for m0, mp in forms if _lcd_from_mult(mp))
+    return _runs(n, m0_last, d_lo, d_hi, filter != "all")
+
+
+def _runs(n: int, m0_last: int, d_lo: int, d_hi: int, lcd: bool):
+    """The runs of m0 = 0..m0_last, cut to their LCD forms if ``lcd``: along
+    a run only p2 + x changes parity, so its first two forms set the stride."""
+    for m0 in range(m0_last + 1):
+        t = n - m0
+        for p0, p1, p2, xs in _sorted_runs(t, d_lo, d_hi):
+            if lcd:
+                x, r = xs[0], t - p0 - p1 - p2
+                ok0 = _lcd_from_mult((p0, p1, p2, x, r - x))
+                ok1 = len(xs) > 1 and _lcd_from_mult((p0, p1, p2, x + 1, r - x - 1))
+                if not (ok0 or ok1):
+                    continue
+                xs = xs if ok0 and ok1 else xs[ok1::2]
+            yield (m0, p0, p1, p2, xs)
+
+
+def census_forms(n: int, filter: str = "lcd", include_zero_columns: bool = False):
+    """``census_runs`` expanded to the canonical forms (m0, mp), in census
+    order.  Raises ``census``'s ValueErrors at the call."""
+    return (
+        (m0, (p0, p1, p2, x, n - m0 - p0 - p1 - p2 - x))
+        for m0, p0, p1, p2, xs in census_runs(n, filter, include_zero_columns)
+        for x in xs
+    )
 
 
 def census(n: int, filter: str = "lcd", include_zero_columns: bool = False) -> list[EquivClass]:

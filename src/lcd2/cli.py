@@ -48,7 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
 
     p = sub.add_parser("check", parents=[common], help="analyse a generator matrix")
-    p.add_argument("matrix", help="rows separated by ';', entries by ',' (e.g. '1,0,1;0,1,w')")
+    p.add_argument("matrix", help="rows by ';', entries by ',' (e.g. '1,0;0,w'); '-' reads stdin")
 
     p = sub.add_parser("construct", parents=[common], help="build the parametric generator matrix")
     p.add_argument("atuple", help="'a1,a2,a3,a4,a5', optionally prefixed 'a0=K;'")
@@ -111,16 +111,17 @@ class _Terms(dict):
         return text
 
 
-def _emit_classes(n: int, forms: Iterable, labels: dict, args: argparse.Namespace, header: str):
-    """Write the classes of the canonical forms (m0, mp) to stdout, one string per class.
+def _emit_classes(n: int, runs: Iterable, labels: dict, args: argparse.Namespace, header: str):
+    """Write the classes of the runs (m0, p0, p1, p2, xs) of ``census_runs``
+    to stdout, one string per class.
 
-    Each row is one f-string of (m0, mp) with t = n - m0: d = t - max(p3, p4),
-    the representative entries from ``representative_entries``, the label
-    from ``labels`` by (m0, mp) and the enumerator terms from ``_we_terms``,
-    each distinct term rendered once per call.  JSON is byte for byte
-    ``json.dumps(classes, indent=2)`` of the class objects in the README
-    schema; CSV is byte for byte what ``csv.writer`` writes for the header
-    and rows; text is the header and one line per class.
+    A run fixes t = n - m0, r = t - p0 - p1 - p2, its prefix text and the
+    terms of (p2, p1, p0); a form (p0, p1, p2, x, r - x) adds d, the terms
+    of its last two parts (``_we_terms`` of all five where parts coincide),
+    ``representative_entries`` and its label.  Each distinct term is
+    rendered once per call.  JSON is byte for byte ``json.dumps(classes,
+    indent=2)`` of the README schema's class objects; CSV is what
+    ``csv.writer`` writes; text is the header and one line per class.
     """
     fmt = args.format
     terms = _Terms(',\n      "{0}": {1}' if fmt == "json" else "+{1}y^{0}")
@@ -130,55 +131,55 @@ def _emit_classes(n: int, forms: Iterable, labels: dict, args: argparse.Namespac
     elif fmt == "text":
         out.write(header + "\n")
     sep = "[\n"
-    for m0, mp in forms:
+    head = f'  {{\n    "n": {n},\n    "d": '
+    for m0, p0, p1, p2, xs in runs:
         t = n - m0
-        p0, p1, p2, p3, p4 = mp
-        d = t - max(p3, p4)
-        a1, a2, a3, a4, a5 = cls.representative_entries(mp)
-        we = "".join(map(terms.__getitem__, cls._we_terms(t, mp)))
-        label = labels.get((m0, mp))
+        r = t - p0 - p1 - p2
         zero_col = "true" if m0 else "false"
+        tail = ""  # the terms of (p2, p1, p0), on the run's first fast row
         if fmt == "json":
-            out.write(
-                f"{sep}  {{\n"
-                f'    "n": {n},\n'
-                f'    "d": {d},\n'
-                '    "canonical": {\n'
-                f'      "m0": {m0},\n'
-                '      "mp": [\n'
-                f"        {p0},\n"
-                f"        {p1},\n"
-                f"        {p2},\n"
-                f"        {p3},\n"
-                f"        {p4}\n"
-                "      ]\n"
-                "    },\n"
-                '    "representative_a": [\n'
-                f"      {a1},\n"
-                f"      {a2},\n"
-                f"      {a3},\n"
-                f"      {a4},\n"
-                f"      {a5}\n"
-                "    ],\n"
-                f'    "a0": {m0},\n'
-                f'    "label": {"null" if label is None else json.dumps(label)},\n'
-                '    "weight_enumerator": {\n'
-                f'      "0": 1{we}\n'
-                "    },\n"
-                f'    "dual_min_weight_one": {zero_col}\n'
-                "  }"
+            prefix = (
+                f',\n    "canonical": {{\n      "m0": {m0},\n      "mp": [\n'
+                f"        {p0},\n        {p1},\n        {p2},\n        "
             )
-            sep = ",\n"
+            after_a = f'\n    ],\n    "a0": {m0},\n    "label": '
+            close = f'\n    }},\n    "dual_min_weight_one": {zero_col}\n  }}'
         elif fmt == "csv":
-            out.write(
-                f"{n},{d},{m0},{p0} {p1} {p2} {p3} {p4},{a1} {a2} {a3} {a4} {a5},{m0},"
-                f"{_csv_field(label or '')},1{we},{zero_col}\n"
-            )
+            prefix = f",{m0},{p0} {p1} {p2} "
+            close = f",{zero_col}\n"
         else:
-            out.write(
-                f"m0={m0} mp={p0},{p1},{p2},{p3},{p4} d={d} a={a1},{a2},{a3},{a4},{a5} "
-                f"label={label or '-'} dual_min_weight_one={zero_col} we=1{we}\n"
-            )
+            prefix = f"m0={m0} mp={p0},{p1},{p2},"
+        for x in xs:
+            y = r - x
+            lo, hi = (x, y) if x < y else (y, x)
+            d = t - hi
+            mp = (p0, p1, p2, x, y)
+            if lo == p2 or lo == hi:
+                we = "".join(map(terms.__getitem__, cls._we_terms(t, (hi, lo, p2, p1, p0))))
+            else:
+                tail = tail or "".join(map(terms.__getitem__, cls._we_terms(t, (p2, p1, p0))))
+                we = terms[(d, 3)] + terms[(t - lo, 3)] + tail
+            a1, a2, a3, a4, a5 = cls.representative_entries(mp)
+            label = labels.get((m0, mp))
+            if fmt == "json":
+                out.write(
+                    f"{sep}{head}{d}{prefix}{x},\n        {y}\n      ]\n    }},\n"
+                    f'    "representative_a": [\n      {a1},\n      {a2},\n      {a3},\n'
+                    f"      {a4},\n      {a5}{after_a}"
+                    f'{"null" if label is None else json.dumps(label)},\n'
+                    f'    "weight_enumerator": {{\n      "0": 1{we}{close}'
+                )
+                sep = ",\n"
+            elif fmt == "csv":
+                out.write(
+                    f"{n},{d}{prefix}{x} {y},{a1} {a2} {a3} {a4} {a5},{m0},"
+                    f"{_csv_field(label or '')},1{we}{close}"
+                )
+            else:
+                out.write(
+                    f"{prefix}{x},{y} d={d} a={a1},{a2},{a3},{a4},{a5} "
+                    f"label={label or '-'} dual_min_weight_one={zero_col} we=1{we}\n"
+                )
     if fmt == "json":
         out.write("[]\n" if sep == "[\n" else "\n]\n")
 
@@ -198,7 +199,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    gen = parse_matrix(args.matrix)
+    gen = parse_matrix(sys.stdin.read() if args.matrix == "-" else args.matrix)
     code = LinearCode(gen)
     # One codeword walk and one Gram matrix: d is the enumerator's least
     # positive weight, and the code is LCD iff its hull is trivial.
@@ -277,23 +278,28 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _count(runs: list) -> int:
+    """Number of classes in the runs of ``census_runs``."""
+    return sum(len(run[4]) for run in runs)
+
+
 def cmd_classify(args: argparse.Namespace) -> int:
-    forms = list(cls.census_forms(args.n, "optimal_lcd", args.include_zero_columns))
+    runs = list(cls.census_runs(args.n, "optimal_lcd", args.include_zero_columns))
     header = (
-        f"n={args.n} optimal classes={len(forms)} "
+        f"n={args.n} optimal classes={_count(runs)} "
         f"include_zero_columns={str(args.include_zero_columns).lower()}"
     )
-    _emit_classes(args.n, forms, cls._label_map(args.n), args, header)
+    _emit_classes(args.n, runs, cls._label_map(args.n), args, header)
     return 0
 
 
 def cmd_census(args: argparse.Namespace) -> int:
-    forms = list(cls.census_forms(args.n, args.filter, args.include_zero_columns))
+    runs = list(cls.census_runs(args.n, args.filter, args.include_zero_columns))
     header = (
-        f"n={args.n} filter={args.filter} classes={len(forms)} "
+        f"n={args.n} filter={args.filter} classes={_count(runs)} "
         f"include_zero_columns={str(args.include_zero_columns).lower()}"
     )
-    _emit_classes(args.n, forms, {}, args, header)
+    _emit_classes(args.n, runs, {}, args, header)
     return 0
 
 

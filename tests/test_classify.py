@@ -21,11 +21,12 @@ from lcd2.classify import (
     _lcd_from_mult,
     _min_weight_from_mult,
     _we_from_mult,
-    _sorted_forms,
+    _sorted_runs,
     are_equivalent,
     canonical_form,
     census,
     census_forms,
+    census_runs,
     classify_optimal,
     code_to_multvector,
     expected_optimal_class_count,
@@ -188,6 +189,8 @@ def test_census_refuses_walks_over_budget():
     with pytest.raises(ValueError, match="budget"):
         census_forms(162, "all")
     with pytest.raises(ValueError, match="budget"):
+        census_runs(162, "all")
+    with pytest.raises(ValueError, match="budget"):
         census(79, "lcd", include_zero_columns=True)
 
 
@@ -207,7 +210,58 @@ def test_sorted_forms_match_the_sorted_group_minima():
         for d_lo in range(1, t + 1):
             for d_hi in range(d_lo, t + 1):
                 expected = sorted(set().union(*(by_d.get(d, ()) for d in range(d_lo, d_hi + 1))))
-                assert list(_sorted_forms(t, d_lo, d_hi)) == expected, (t, d_lo, d_hi)
+                assert _expand(t, _sorted_runs(t, d_lo, d_hi)) == expected, (t, d_lo, d_hi)
+
+
+def _expand(t, runs):
+    """The forms of the runs (p0, p1, p2, xs) of t, each run checked non-empty."""
+    forms = []
+    for p0, p1, p2, xs in runs:
+        assert len(xs) > 0, (t, p0, p1, p2)
+        forms += [(p0, p1, p2, x, t - p0 - p1 - p2 - x) for x in xs]
+    return forms
+
+
+def test_sorted_runs_match_the_group_minima_up_to_t_40():
+    # Reference: the sorted 5-part partitions of t and their last-two swaps
+    # represent both A5 cosets of S5, so the minima over the 60 induced
+    # permutations of the two are the orbit minima of every composition.
+    perms = induced_point_permutations()
+    for t in range(2, 41):
+        by_d: dict[int, set] = {}
+        for p0 in range(t // 5 + 1):
+            for p1 in range(p0, (t - p0) // 4 + 1):
+                for p2 in range(p1, (t - p0 - p1) // 3 + 1):
+                    for p3 in range(p2, (t - p0 - p1 - p2) // 2 + 1):
+                        p4 = t - p0 - p1 - p2 - p3
+                        if p4 == t:
+                            continue
+                        for mp in ((p0, p1, p2, p3, p4), (p0, p1, p2, p4, p3)):
+                            image = min(tuple(mp[p[i]] for i in range(5)) for p in perms)
+                            by_d.setdefault(t - p4, set()).add(image)
+        for d_lo, d_hi in ((1, t), (1, t // 2), (t // 2, t), (dmax(t), dmax(t))):
+            expected = sorted(set().union(*(by_d.get(d, ()) for d in range(d_lo, d_hi + 1))))
+            assert _expand(t, _sorted_runs(t, d_lo, d_hi)) == expected, (t, d_lo, d_hi)
+
+
+def test_census_runs_equal_the_filtered_full_walk():
+    # The LCD stride against the per-form parity test, and the optimal
+    # window against the d = dmax(n) forms of the full walk.
+    for n in range(2, 41):
+        for z in (False, True):
+            full = list(census_forms(n, "all", z))
+            lcd = [(m0, mp) for m0, mp in full if _lcd_from_mult(mp)]
+            expected = {
+                "all": full,
+                "lcd": lcd,
+                "optimal_lcd": [(m0, mp) for m0, mp in lcd if n - m0 - max(mp) == dmax(n)],
+            }
+            for filt, forms in expected.items():
+                got = []
+                for m0, p0, p1, p2, xs in census_runs(n, filt, z):
+                    assert len(xs) > 0, (n, filt, z, m0, p0, p1, p2)
+                    got += [(m0, (p0, p1, p2, x, n - m0 - p0 - p1 - p2 - x)) for x in xs]
+                assert got == forms, (n, filt, z)
 
 
 def test_optimal_window_equals_full_lcd_walk():

@@ -351,6 +351,22 @@ def test_check_admits_a_nine_dimensional_code(capsys):
     )
 
 
+def test_check_reads_a_matrix_over_the_argument_limit_from_stdin(capsys):
+    # 2 x 40,000 is about 180 KB of text, over the 128 KiB a single
+    # command-line argument may hold.
+    rng = random.Random(40)
+    text = format_matrix(random_full_rank(rng, 2, 40_000))
+    src = str(Path(lcd2.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run(
+        [sys.executable, "-m", "lcd2.cli", "check", "-"],
+        input=text + "\n", env=env, capture_output=True, text=True,
+    )
+    rc, out, err = run_cli(capsys, "check", text)
+    assert (result.returncode, result.stdout, result.stderr) == (0, out, "")
+    assert (rc, err) == (0, "") and out.startswith("n = 40000\nk = 2\n")
+
+
 def test_repeated_main_calls_share_one_parser_without_leaking_state(capsys):
     rc, out, _ = run_cli(capsys, "census", "7", "--filter", "all")
     assert rc == 0 and out.startswith("n=7 filter=all ")
