@@ -34,7 +34,11 @@ serves as the cross-validating check.
 
 ``verify_classification`` replays the known classification data
 (catalog, equivalence chains, weight enumerator forms, class counts)
-against the independent census and returns a structured report.
+against the independent census and returns a structured report.  It
+instantiates the catalog once per length, as a view from each valid
+row's label to its tuple and class key (a0, canonical mp); the checks
+and the labels read that view and the census forms, and build no class
+object.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ from . import code as codeops
 from . import family as fam
 from . import gf4
 from .code import LinearCode, WeightEnumerator
-from .family import ATuple, Family, build_generator, dmax
+from .family import ATuple, build_generator, dmax
 from .linalg import Mat
 
 # Projective points of the line over GF(4), in fixed order.  A column
@@ -427,10 +431,6 @@ def census(n: int, filter: str = "lcd", include_zero_columns: bool = False) -> l
 # ---------------------------------------------------------------------------
 # known classification data and the verification report
 
-_FAM_BY_KEY: dict[tuple[int, int], Family] = {
-    (f.residue, f.index): f for f in fam.family_catalog()
-}
-
 # Chains of catalog rows known to be pairwise equivalent (by the three
 # moves); indices refer to rows within the residue class.
 EQUIV_CHAINS: dict[int, tuple[tuple[int, ...], ...]] = {
@@ -500,16 +500,20 @@ def expected_optimal_class_count(n: int) -> int:
     return {0: 1, 1: 3, 2: 4}.get(m, 5)
 
 
-def _label_map(n: int) -> dict[tuple[int, tuple[int, ...]], str]:
-    """Canonical form -> catalog label for the classes present at length n."""
-    by_canon: dict[tuple[int, tuple[int, ...]], list[Family]] = {}
-    for family_row, a in fam.family_tuples(n):
-        by_canon.setdefault((a.a0, _canonical_mp(_atuple_mp(a))), []).append(family_row)
-    priority = CLASS_REPRESENTATIVE_LABELS[n % 5]
+def _catalog_view(n: int) -> dict[str, tuple[ATuple, tuple[int, tuple[int, ...]]]]:
+    """Label -> (tuple, class key (a0, canonical mp)) of the catalog rows
+    valid at length n, in catalog order."""
+    return {f.label: (a, (a.a0, _canonical_mp(_atuple_mp(a)))) for f, a in fam.family_tuples(n)}
+
+
+def _label_map(view: dict) -> dict[tuple[int, tuple[int, ...]], str]:
+    """Class key -> catalog label for the classes of a ``_catalog_view``: the
+    first designated representative in the class, else its first row."""
     out = {}
-    for key, rows in by_canon.items():
-        chosen = next((lbl for lbl in priority if any(r.label == lbl for r in rows)), None)
-        out[key] = chosen if chosen is not None else rows[0].label
+    # A label names its residue, so only the view's representatives hit.
+    for label in itertools.chain(*CLASS_REPRESENTATIVE_LABELS.values(), view):
+        if label in view:
+            out.setdefault(view[label][1], label)
     return out
 
 
@@ -520,10 +524,7 @@ def classify_optimal(n: int, include_zero_columns: bool = False) -> list[EquivCl
     zero-column classes never do (the catalog has no zero columns).
     """
     forms = census_forms(n, "optimal_lcd", include_zero_columns)
-    return _labelled(forms, _label_map(n))
-
-
-def _labelled(forms, labels: dict[tuple[int, tuple[int, ...]], str]) -> list[EquivClass]:
+    labels = _label_map(_catalog_view(n))
     return [EquivClass(MultVector(m0, mp), labels.get((m0, mp))) for m0, mp in forms]
 
 
@@ -557,9 +558,9 @@ class VerificationReport:
         }
 
 
-def _check_catalog(n: int) -> CheckResult:
+def _check_catalog(n: int, view: dict) -> CheckResult:
     enumerated = {a.entries for a in fam.enumerate_optimal(n)}
-    catalog = {a.entries for _, a in fam.family_tuples(n)}
+    catalog = {a.entries for a, _ in view.values()}
     if enumerated == catalog:
         detail = f"{len(enumerated)} parameter tuples; cube enumeration matches catalog"
         return CheckResult("T1", n, True, detail)
@@ -568,21 +569,18 @@ def _check_catalog(n: int) -> CheckResult:
     return CheckResult("T1", n, False, f"missing={missing} extra={extra}")
 
 
-def _check_chains(n: int) -> CheckResult:
-    m, residue = divmod(n, 5)
+def _check_chains(n: int, view: dict) -> CheckResult:
+    residue = n % 5
     problems = []
     chain_canons = []
     for chain in EQUIV_CHAINS[residue]:
-        canons = set()
-        for index in chain:
-            a = _FAM_BY_KEY[(residue, index)].tuple_at(m)
-            if a is not None:
-                canons.add(canonical_form(multvector_of_atuple(a)))
+        labels = (fam._family_label(residue, index) for index in chain)
+        canons = {view[label][1] for label in labels if label in view}
         if not canons:
             continue
         if len(canons) > 1:
             problems.append(f"chain {chain} splits into {len(canons)} classes")
-        chain_canons.append(min((c.m0, c.mp) for c in canons))
+        chain_canons.append(min(canons))
     if len(set(chain_canons)) != len(chain_canons):
         problems.append("two chains share a canonical form")
     expected = expected_optimal_class_count(n)
@@ -595,16 +593,15 @@ def _check_chains(n: int) -> CheckResult:
     )
 
 
-def _check_weight_forms(n: int) -> CheckResult:
+def _check_weight_forms(n: int, view: dict) -> CheckResult:
     m, residue = divmod(n, 5)
     problems = []
     seen: list[WeightEnumerator] = []
     checked = 0
     for label in CLASS_REPRESENTATIVE_LABELS[residue]:
-        a = fam.family_by_label(label).tuple_at(m)
-        if a is None:
+        if label not in view:
             continue
-        computed = codeops.weight_enumerator(LinearCode(build_generator(a)))
+        computed = codeops.weight_enumerator(LinearCode(build_generator(view[label][0])))
         expected = representative_weight_form(label, m)
         if computed != expected:
             problems.append(f"{label}: computed {computed} != form {expected}")
@@ -620,28 +617,26 @@ def _check_weight_forms(n: int) -> CheckResult:
     return CheckResult("T3", n, True, detail)
 
 
-def _check_classification(
-    n: int, classes_plain: list[EquivClass], classes_zero: list[EquivClass]
-) -> CheckResult:
+def _check_classification(n: int, plain: list, zero: list, labels: dict) -> CheckResult:
+    """T4 on the class keys (m0, mp) of the optimal census without and with
+    zero columns, labelled by ``labels``."""
     expected = expected_optimal_class_count(n)
     expected_extra = 1 if n % 5 == 4 else 0
     problems = []
-    if len(classes_plain) != expected:
-        problems.append(f"{len(classes_plain)} classes, expected {expected}")
-    zero_classes = [c for c in classes_zero if c.zero_col]
-    if len(classes_zero) != expected + expected_extra:
+    if len(plain) != expected:
+        problems.append(f"{len(plain)} classes, expected {expected}")
+    zero_classes = [key for key in zero if key[0]]
+    if len(zero) != expected + expected_extra:
         problems.append(
-            f"{len(classes_zero)} classes with zero columns allowed, "
+            f"{len(zero)} classes with zero columns allowed, "
             f"expected {expected + expected_extra}"
         )
     if len(zero_classes) != expected_extra:
         problems.append(f"{len(zero_classes)} zero-column classes, expected {expected_extra}")
-    unlabelled = [c for c in classes_plain if c.label is None]
+    unlabelled = [key for key in plain if key not in labels]
     if unlabelled:
         problems.append(f"{len(unlabelled)} classes without a catalog label")
-    plain_keys = {(c.canon.m0, c.canon.mp) for c in classes_plain}
-    embedded = {(c.canon.m0, c.canon.mp) for c in classes_zero if not c.zero_col}
-    if plain_keys != embedded:
+    if set(plain) != {key for key in zero if not key[0]}:
         problems.append("zero-column census disagrees on the m0 = 0 classes")
     if problems:
         return CheckResult("T4", n, False, "; ".join(problems))
@@ -649,29 +644,27 @@ def _check_classification(
         "T4",
         n,
         True,
-        f"{len(classes_plain)} classes (+{expected_extra} with a zero column), all labelled",
+        f"{len(plain)} classes (+{expected_extra} with a zero column), all labelled",
     )
 
 
-def _check_headline(
-    n: int, classes_plain: list[EquivClass], classes_zero: list[EquivClass]
-) -> CheckResult | None:
+def _check_headline(n: int, plain: list, zero: list) -> CheckResult | None:
     m, residue = divmod(n, 5)
     if residue in (0, 1):
         if m < 2:
             return None
-        ok = len(classes_plain) == 2
-        detail = f"{len(classes_plain)} classes, headline count 2"
+        ok = len(plain) == 2
+        detail = f"{len(plain)} classes, headline count 2"
     elif residue in (2, 3):
-        ok = len(classes_plain) == 1
-        detail = f"{len(classes_plain)} classes, headline count 1"
+        ok = len(plain) == 1
+        detail = f"{len(plain)} classes, headline count 1"
     else:
         if m < 3:
             return None
-        zero_classes = [c for c in classes_zero if c.zero_col]
-        ok = len(classes_zero) == 6 and len(zero_classes) == 1
+        zero_classes = [key for key in zero if key[0]]
+        ok = len(zero) == 6 and len(zero_classes) == 1
         detail = (
-            f"{len(classes_zero)} classes including zero columns "
+            f"{len(zero)} classes including zero columns "
             f"({len(zero_classes)} with a zero coordinate), headline count 6 (1)"
         )
     return CheckResult("THM", n, ok, detail)
@@ -707,14 +700,14 @@ def verify_classification(n_max: int) -> VerificationReport:
         )
     checks: list[CheckResult] = []
     for n in range(2, n_max + 1):
-        checks.append(_check_catalog(n))
-        checks.append(_check_chains(n))
-        checks.append(_check_weight_forms(n))
-        labels = _label_map(n)  # shared by both classify_optimal views
-        classes_plain = _labelled(census_forms(n, "optimal_lcd", False), labels)
-        classes_zero = _labelled(census_forms(n, "optimal_lcd", True), labels)
-        checks.append(_check_classification(n, classes_plain, classes_zero))
-        headline = _check_headline(n, classes_plain, classes_zero)
+        view = _catalog_view(n)
+        checks.append(_check_catalog(n, view))
+        checks.append(_check_chains(n, view))
+        checks.append(_check_weight_forms(n, view))
+        plain = list(census_forms(n, "optimal_lcd", False))
+        zero = list(census_forms(n, "optimal_lcd", True))
+        checks.append(_check_classification(n, plain, zero, _label_map(view)))
+        headline = _check_headline(n, plain, zero)
         if headline is not None:
             checks.append(headline)
     return VerificationReport(n_max, tuple(checks))

@@ -198,8 +198,16 @@ def cmd_bound(args: argparse.Namespace) -> int:
     return 0
 
 
+# Longest matrix text ``check`` reads: a code the codeword budget admits
+# has at most that many entries, each at most 3 characters ("w2,").
+_TEXT_BUDGET = 4 * codeops.CODEWORD_BUDGET
+
+
 def cmd_check(args: argparse.Namespace) -> int:
-    gen = parse_matrix(sys.stdin.read() if args.matrix == "-" else args.matrix)
+    text = sys.stdin.read(_TEXT_BUDGET + 1) if args.matrix == "-" else args.matrix
+    if len(text) > _TEXT_BUDGET:
+        raise ValueError(f"matrix text longer than the budget of {_TEXT_BUDGET} characters")
+    gen = parse_matrix(text)
     code = LinearCode(gen)
     # One codeword walk and one Gram matrix: d is the enumerator's least
     # positive weight, and the code is LCD iff its hull is trivial.
@@ -278,29 +286,26 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _count(runs: list) -> int:
-    """Number of classes in the runs of ``census_runs``."""
-    return sum(len(run[4]) for run in runs)
+def _write_census(args: argparse.Namespace, filt: str, labels: dict, kind: str) -> int:
+    """The census of ``args.n`` under ``filt``, labelled by ``labels``, after
+    a header whose class count follows ``kind``."""
+    runs = list(cls.census_runs(args.n, filt, args.include_zero_columns))
+    count = sum(len(run[4]) for run in runs)
+    header = (
+        f"n={args.n} {kind} classes={count} "
+        f"include_zero_columns={str(args.include_zero_columns).lower()}"
+    )
+    _emit_classes(args.n, runs, labels, args, header)
+    return 0
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    runs = list(cls.census_runs(args.n, "optimal_lcd", args.include_zero_columns))
-    header = (
-        f"n={args.n} optimal classes={_count(runs)} "
-        f"include_zero_columns={str(args.include_zero_columns).lower()}"
-    )
-    _emit_classes(args.n, runs, cls._label_map(args.n), args, header)
-    return 0
+    labels = cls._label_map(cls._catalog_view(args.n))
+    return _write_census(args, "optimal_lcd", labels, "optimal")
 
 
 def cmd_census(args: argparse.Namespace) -> int:
-    runs = list(cls.census_runs(args.n, args.filter, args.include_zero_columns))
-    header = (
-        f"n={args.n} filter={args.filter} classes={_count(runs)} "
-        f"include_zero_columns={str(args.include_zero_columns).lower()}"
-    )
-    _emit_classes(args.n, runs, {}, args, header)
-    return 0
+    return _write_census(args, args.filter, {}, f"filter={args.filter}")
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

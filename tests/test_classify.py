@@ -11,6 +11,7 @@ from helpers import (
     random_rank2_matrix,
 )
 import lcd2.classify as classify_module
+import lcd2.family as family_module
 from lcd2 import gf4
 from lcd2.classify import (
     EQUIV_CHAINS,
@@ -445,6 +446,87 @@ def test_verify_classification_small():
     assert all(set(c) == {"id", "n", "pass", "detail"} for c in payload["checks"])
     with pytest.raises(ValueError):
         verify_classification(6)
+
+
+def _failures(n_max):
+    return [(c.id, c.n, c.passed, c.detail) for c in verify_classification(n_max).failures()]
+
+
+def test_verify_reports_a_tuple_missing_from_the_enumeration(monkeypatch):
+    enumerate_optimal = family_module.enumerate_optimal
+    monkeypatch.setattr(
+        family_module, "enumerate_optimal", lambda n: enumerate_optimal(n)[1 if n == 9 else 0:]
+    )
+    assert _failures(14) == [("T1", 9, False, "missing=[(2, 0, 2, 1, 2)] extra=[]")]
+
+
+def test_verify_reports_a_chain_that_splits(monkeypatch):
+    first, second = EQUIV_CHAINS[0]
+    monkeypatch.setitem(EQUIV_CHAINS, 0, (first + second,))
+    assert _failures(14) == [
+        (
+            "T2",
+            10,
+            False,
+            "chain (7, 6, 5, 8, 3, 2, 1, 4) splits into 2 classes; 1 nonempty chains, expected 2",
+        )
+    ]
+
+
+def test_verify_reports_a_wrong_weight_form(monkeypatch):
+    monkeypatch.setitem(classify_module.REPRESENTATIVE_WEIGHT_FORMS, "C_{5m+2,1}", ((1, 6), (2, 10)))
+    assert _failures(14) == [
+        ("T3", n, False, f"C_{{5m+2,1}}: computed 1+6y^{w}+9y^{w + 1} != form 1+6y^{w}+10y^{w + 1}")
+        for n, w in ((2, 1), (7, 5), (12, 9))
+    ]
+
+
+def test_verify_reports_a_wrong_class_count(monkeypatch):
+    monkeypatch.setattr(
+        classify_module, "expected_optimal_class_count",
+        lambda n: expected_optimal_class_count(n) + (n == 12),
+    )
+    assert _failures(14) == [
+        ("T2", 12, False, "1 nonempty chains, expected 2"),
+        ("T4", 12, False, "1 classes, expected 2; 1 classes with zero columns allowed, expected 2"),
+    ]
+
+
+def test_verify_reports_a_missing_optimal_class(monkeypatch):
+    # (2, 3, 4, 5, 5) is the class C_{5m+4,21} at n = 19.
+    monkeypatch.setattr(
+        classify_module, "_lcd_from_mult", lambda mp: mp != (2, 3, 4, 5, 5) and _lcd_from_mult(mp)
+    )
+    assert _failures(20) == [
+        ("T4", 19, False, "4 classes, expected 5; 5 classes with zero columns allowed, expected 6"),
+        (
+            "THM",
+            19,
+            False,
+            "5 classes including zero columns (1 with a zero coordinate), headline count 6 (1)",
+        ),
+    ]
+
+
+def test_verify_builds_no_class_objects(monkeypatch):
+    def refuse(self):
+        raise AssertionError(f"built a {type(self).__name__}")
+
+    monkeypatch.setattr(EquivClass, "__post_init__", refuse)
+    monkeypatch.setattr(MultVector, "__post_init__", refuse)
+    assert verify_classification(60).passed
+
+
+def test_verify_instantiates_the_catalog_once_per_length(monkeypatch):
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return family_tuples(n)
+
+    monkeypatch.setattr(family_module, "family_tuples", counted)
+    assert verify_classification(60).passed
+    assert sorted(calls) == list(range(2, 61))
 
 
 def test_verify_classification_beyond_the_census_budget():

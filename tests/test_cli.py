@@ -367,6 +367,17 @@ def test_check_reads_a_matrix_over_the_argument_limit_from_stdin(capsys):
     assert (rc, err) == (0, "") and out.startswith("n = 40000\nk = 2\n")
 
 
+def test_check_refuses_stdin_over_its_cap_before_parsing(capsys, monkeypatch):
+    # Each "w2," is 3 characters: one entry more than the cap admits.
+    cap = 4 * codeops.CODEWORD_BUDGET
+    stdin = io.StringIO("w2," * (cap // 3 + 1))
+    monkeypatch.setattr(sys, "stdin", stdin)
+    rc, out, err = run_cli(capsys, "check", "-")
+    assert (rc, out) == (2, "")
+    assert err == f"error: matrix text longer than the budget of {cap} characters\n"
+    assert stdin.tell() == cap + 1
+
+
 def test_repeated_main_calls_share_one_parser_without_leaking_state(capsys):
     rc, out, _ = run_cli(capsys, "census", "7", "--filter", "all")
     assert rc == 0 and out.startswith("n=7 filter=all ")
