@@ -224,7 +224,9 @@ def representative_entries(mp: tuple[int, ...]) -> tuple[int, int, int, int, int
     both unit points: the canonical form with its two smallest nonzero
     parts rotated ahead of its z zeros.  That rotation moves them past at
     most one zero when all five parts differ (an even permutation), so
-    the parity swap of the canonical form carries over unchanged.
+    the parity swap of the canonical form carries over unchanged.  With
+    at most one zero part (mp[1] > 0) the last two entries are mp[3:] and
+    the first three depend on mp[:3] alone.
     """
     z = mp.count(0)
     best = mp[z:z + 2] + mp[:z] + mp[z + 2:]

@@ -16,6 +16,7 @@ import json
 import os
 import sys
 from collections.abc import Iterable
+from itertools import starmap
 
 from . import classify as cls
 from . import code as codeops
@@ -97,34 +98,21 @@ def _csv_field(field: str) -> str:
     return field
 
 
-class _Terms(dict):
-    """Weight-enumerator terms by (w, A_w), each formatted with ``template``
-    on first use and reused for the rest of one output: at most 4(n + 1)
-    of them, as weights are at most n and counts are 3, 6, 9 or 12."""
-
-    def __init__(self, template: str):
-        super().__init__()
-        self.template = template
-
-    def __missing__(self, key: tuple[int, int]) -> str:
-        text = self[key] = self.template.format(*key)
-        return text
-
-
-def _emit_classes(n: int, runs: Iterable, labels: dict, args: argparse.Namespace, header: str):
+def _emit_classes(n: int, runs: Iterable, labels: dict, fmt: str, header: str):
     """Write the classes of the runs (m0, p0, p1, p2, xs) of ``census_runs``
-    to stdout, one string per class.
+    to stdout in ``fmt``, one string per class, labelled by ``labels``.
 
-    A run fixes t = n - m0, r = t - p0 - p1 - p2, its prefix text and the
-    terms of (p2, p1, p0); a form (p0, p1, p2, x, r - x) adds d, the terms
-    of its last two parts (``_we_terms`` of all five where parts coincide),
-    ``representative_entries`` and its label.  Each distinct term is
-    rendered once per call.  JSON is byte for byte ``json.dumps(classes,
-    indent=2)`` of the README schema's class objects; CSV is what
-    ``csv.writer`` writes; text is the header and one line per class.
+    A run fixes t = n - m0, r = t - p0 - p1 - p2, its prefix text, the
+    terms of (p2, p1, p0) and, when p1 > 0, the first three entries of
+    ``representative_entries`` (the last two are x and r - x); a form
+    (p0, p1, p2, x, r - x) adds d, the terms of its last two parts
+    (``_we_terms`` of all five where parts coincide) and, when p1 = 0,
+    its own ``representative_entries``.  Each distinct term is formatted
+    once per call.  JSON is byte for byte ``json.dumps(classes, indent=2)``
+    of the README schema's class objects; CSV is what ``csv.writer``
+    writes; text is the header and one line per class.
     """
-    fmt = args.format
-    terms = _Terms(',\n      "{0}": {1}' if fmt == "json" else "+{1}y^{0}")
+    term = functools.cache((',\n      "{0}": {1}' if fmt == "json" else "+{1}y^{0}").format)
     out = sys.stdout
     if fmt == "csv":
         out.write(_CLASS_CSV_HEADER)
@@ -136,7 +124,9 @@ def _emit_classes(n: int, runs: Iterable, labels: dict, args: argparse.Namespace
         t = n - m0
         r = t - p0 - p1 - p2
         zero_col = "true" if m0 else "false"
-        tail = ""  # the terms of (p2, p1, p0), on the run's first fast row
+        tail = "".join(starmap(term, cls._we_terms(t, (p2, p1, p0))))
+        if p1:
+            a1, a2, a3 = cls.representative_entries((p0, p1, p2, xs[0], r - xs[0]))[:3]
         if fmt == "json":
             prefix = (
                 f',\n    "canonical": {{\n      "m0": {m0},\n      "mp": [\n'
@@ -153,14 +143,15 @@ def _emit_classes(n: int, runs: Iterable, labels: dict, args: argparse.Namespace
             y = r - x
             lo, hi = (x, y) if x < y else (y, x)
             d = t - hi
-            mp = (p0, p1, p2, x, y)
             if lo == p2 or lo == hi:
-                we = "".join(map(terms.__getitem__, cls._we_terms(t, (hi, lo, p2, p1, p0))))
+                we = "".join(starmap(term, cls._we_terms(t, (hi, lo, p2, p1, p0))))
             else:
-                tail = tail or "".join(map(terms.__getitem__, cls._we_terms(t, (p2, p1, p0))))
-                we = terms[(d, 3)] + terms[(t - lo, 3)] + tail
-            a1, a2, a3, a4, a5 = cls.representative_entries(mp)
-            label = labels.get((m0, mp))
+                we = term(d, 3) + term(t - lo, 3) + tail
+            if p1:
+                a4, a5 = x, y
+            else:
+                a1, a2, a3, a4, a5 = cls.representative_entries((p0, p1, p2, x, y))
+            label = labels.get((m0, (p0, p1, p2, x, y))) if labels else None
             if fmt == "json":
                 out.write(
                     f"{sep}{head}{d}{prefix}{x},\n        {y}\n      ]\n    }},\n"
@@ -295,7 +286,7 @@ def _write_census(args: argparse.Namespace, filt: str, labels: dict, kind: str) 
         f"n={args.n} {kind} classes={count} "
         f"include_zero_columns={str(args.include_zero_columns).lower()}"
     )
-    _emit_classes(args.n, runs, labels, args, header)
+    _emit_classes(args.n, runs, labels, args.format, header)
     return 0
 
 

@@ -130,9 +130,11 @@ def _eliminate(m: Mat) -> tuple[list[list[int]], list[int], int]:
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        product = gf4.MUL[product][rows[r][c]]
-        s = gf4.INV[rows[r][c]]
-        rows[r] = [gf4.MUL[s][e] for e in rows[r]]
+        pivot = rows[r][c]
+        product = gf4.MUL[product][pivot]
+        if pivot != 1:
+            scale = gf4.MUL[gf4.INV[pivot]]
+            rows[r] = [scale[e] for e in rows[r]]
         for i in range(len(rows)):
             if i != r and rows[i][c]:
                 f = rows[i][c]
@@ -152,7 +154,7 @@ def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
 
 
 def rank(m: Mat) -> int:
-    return len(rref(m)[1])
+    return len(_eliminate(m)[1])
 
 
 def det(m: Mat) -> int:

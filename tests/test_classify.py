@@ -35,6 +35,7 @@ from lcd2.classify import (
     multvector_of_atuple,
     multvector_to_code,
     representative_atuple,
+    representative_entries,
     verify_classification,
 )
 from lcd2.code import (
@@ -147,6 +148,24 @@ def test_representative_atuple_depends_only_on_the_class():
                             representative_atuple(arg)
                     continue
                 assert representative_atuple(mv) == representative_atuple(canonical_form(mv)), mp
+
+
+def test_representative_entries_end_in_the_last_two_parts_when_p1_is_positive():
+    # The census writer takes the first three entries once per run and
+    # appends (x, r - x); that needs this for every canonical form with at
+    # most one zero part, mirrors (last two parts descending) included.
+    heads = {}
+    mirrors = 0
+    for t in range(21):
+        for mp in _iter_compositions(t):
+            mv = canonical_form(MultVector(0, mp))
+            if not mv.spans() or mv.mp[1] == 0:
+                continue
+            entries = representative_entries(mv.mp)
+            assert entries[3:] == mv.mp[3:], mv
+            assert heads.setdefault(mv.mp[:3], entries[:3]) == entries[:3], mv
+            mirrors += mv.mp[3] > mv.mp[4]
+    assert mirrors and any(head[0] == 0 for head in heads)
 
 
 def test_we_from_mult_matches_the_dict_build():

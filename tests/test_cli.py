@@ -1,4 +1,3 @@
-import argparse
 import csv
 import io
 import json
@@ -13,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import lcd2
+import lcd2.classify as classify_module
 from helpers import brute_hull_dimension, brute_min_weight, random_full_rank, render_classes
 from lcd2 import code as codeops
 from lcd2.classify import (
@@ -20,6 +20,7 @@ from lcd2.classify import (
     MultVector,
     canonical_form,
     census,
+    census_runs,
     classify_optimal,
     code_to_multvector,
 )
@@ -239,10 +240,34 @@ def test_csv_field_quotes_as_csv_writer_does():
 
 def test_empty_class_list_output(capsys):
     for fmt in FORMATS:
-        _emit_classes(2, [], {}, argparse.Namespace(format=fmt), "header")
+        _emit_classes(2, [], {}, fmt, "header")
         assert capsys.readouterr().out == render_classes([], fmt, "header")
-    _emit_classes(2, [], {}, argparse.Namespace(format="json"), "header")
+    _emit_classes(2, [], {}, "json", "header")
     assert capsys.readouterr().out == "[]\n"
+
+
+def test_census_calls_representative_entries_once_per_run_with_p1_positive(capsys, monkeypatch):
+    # A run whose prefix has p1 > 0 takes its representative's first three
+    # entries from one call; a run with p1 = 0 calls once per form.
+    runs = list(census_runs(30, "all"))
+    per_form = [len(xs) for _, _, p1, _, xs in runs if p1 == 0]
+    assert per_form and len(per_form) < len(runs)
+    expected = len(runs) - len(per_form) + sum(per_form)
+    classes = census(30, "all")
+    header = f"n=30 filter=all classes={len(classes)} include_zero_columns=false"
+    outputs = {fmt: render_classes(classes, fmt, header) for fmt in FORMATS}
+    calls = []
+    original = classify_module.representative_entries
+
+    def counted(mp):
+        calls.append(mp)
+        return original(mp)
+
+    monkeypatch.setattr(classify_module, "representative_entries", counted)
+    for fmt, out in outputs.items():
+        calls.clear()
+        assert run_cli(capsys, "census", "30", "--filter", "all", "--format", fmt) == (0, out, "")
+        assert len(calls) == expected, fmt
 
 
 def test_census_and_classify_build_no_class_objects(capsys, monkeypatch):
