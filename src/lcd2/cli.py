@@ -10,7 +10,6 @@ requests over the work budget, 141 when the reader closes stdout early.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import os
@@ -73,9 +72,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _print_csv(header: list[str], rows: Iterable[list]) -> None:
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+    for row in (header, *rows):
+        sys.stdout.write(",".join(_csv_field(str(x)) for x in row) + "\n")
 
 
 def _print_json(obj) -> None:

@@ -11,14 +11,14 @@ normalisation that the first row has minimum weight d, i.e.
 
     1 + a2 + a3 + a4 + a5 = d,
 
-the code is Hermitian LCD iff four arithmetic conditions on the a_i
-hold; in the transformed coordinates b_i = (n - d) - a_i the same test
-depends only on b3, b4, b5 and the parity of d, and the slack parameter
-delta = 4n - 5d confines the search for distance-optimal codes to a
-cube 0 <= b3 <= b4, b5 <= delta.  ``enumerate_optimal`` performs that
-search; ``family_catalog`` is the known closed-form answer (49 one-
-parameter families in m = n div 5), kept as data so the two can be
-cross-validated.
+the code is Hermitian LCD iff, in the coordinates b_i = (n - d) - a_i,
+b1 = 1, b2 >= 1, b3, b4, b5 >= 0 and a parity rule on b3, b4, b5 and d
+hold.  Then b2 = delta + 1 - (b3 + b4 + b5) for the slack
+delta = 4n - 5d, so the distance-optimal codes lie in the window
+0 <= b3 <= b4, b5 with b3 + b4 + b5 <= delta (at most 6 at d = dmax(n)).
+``enumerate_optimal`` walks that window; ``family_catalog`` is the known
+closed-form answer (49 one-parameter families in m = n div 5), kept as
+data so the two can be cross-validated.
 """
 
 from __future__ import annotations
@@ -135,7 +135,8 @@ def _parity_condition(b3: int, b4: int, b5: int, d: int) -> bool:
 
 
 def check_lcd_conditions_a(a: ATuple, n: int, d: int) -> bool:
-    """LCD test in a-coordinates for a reduced tuple of an [n, 2, d] code.
+    """LCD test for a reduced tuple of an [n, 2, d] code: the b-side test
+    on b_i = (n - d) - a_i.
 
     Requires a0 = 0 and the first row to realise the minimum weight
     (1 + a2 + a3 + a4 + a5 = d); violations raise ValueError.  The test
@@ -144,49 +145,39 @@ def check_lcd_conditions_a(a: ATuple, n: int, d: int) -> bool:
     """
     _require_reduced(a, d)
     t = n - d
-    if a.a1 != t - 1:
-        return False
-    if a.a2 > t - 1:
-        return False
-    if a.a3 > t or a.a4 > t or a.a5 > t:
-        return False
-    return _parity_condition(t - a.a3, t - a.a4, t - a.a5, d)
+    return check_lcd_conditions_b(BTuple(*(t - ai for ai in a.entries), delta(n, d), n, d))
 
 
-def check_lcd_conditions_b(b: BTuple, d: int | None = None) -> bool:
-    """LCD test in b-coordinates; equivalent to the a-side test."""
-    if d is None:
-        d = b.d
-    if b.b1 != 1:
-        return False
-    if b.b2 < 1:
-        return False
-    if b.b3 < 0 or b.b4 < 0 or b.b5 < 0:
-        return False
-    return _parity_condition(b.b3, b.b4, b.b5, d)
+def check_lcd_conditions_b(b: BTuple) -> bool:
+    """The LCD test in b-coordinates: b1 = 1, b2 >= 1, b3, b4, b5 >= 0 and
+    the parity rule for minimum weight b.d."""
+    return (
+        b.b1 == 1
+        and b.b2 >= 1
+        and min(b.b3, b.b4, b.b5) >= 0
+        and _parity_condition(b.b3, b.b4, b.b5, b.d)
+    )
 
 
 def enumerate_optimal(n: int) -> list[ATuple]:
     """All reduced parameter tuples of optimal Hermitian LCD [n, 2] codes.
 
-    Scans the cube 0 <= b3 <= b4, b5 <= delta (the a3 >= a4, a5
-    normalisation), applies the parity condition for d = dmax(n), fixes
-    b1 = 1 and b2 = delta + 1 - (b3 + b4 + b5), and keeps tuples whose
-    a-coordinates are nonnegative.  Output is in ascending lexicographic
-    order on (a1, .., a5).
+    Walks the window 0 <= b3 <= b4, b5 with b3 + b4 + b5 <= delta (the
+    a3 >= a4, a5 normalisation), applies the parity condition for
+    d = dmax(n), fixes b1 = 1 and b2 = delta + 1 - (b3 + b4 + b5) >= 1,
+    and keeps tuples whose a-coordinates are nonnegative.  Output is in
+    ascending lexicographic order on (a1, .., a5).
     """
     d = dmax(n)
     dl = delta(n, d)
     t = n - d
     out = []
-    for b3 in range(dl + 1):
-        for b4 in range(b3, dl + 1):
-            for b5 in range(b3, dl + 1):
+    for b3 in range(dl // 3 + 1):
+        for b4 in range(b3, dl - 2 * b3 + 1):
+            for b5 in range(b3, dl - b3 - b4 + 1):
                 if not _parity_condition(b3, b4, b5, d):
                     continue
                 b2 = dl + 1 - (b3 + b4 + b5)
-                if b2 < 1:
-                    continue
                 entries = (t - 1, t - b2, t - b3, t - b4, t - b5)
                 if min(entries) < 0:
                     continue

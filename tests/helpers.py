@@ -17,6 +17,7 @@ import random
 from lcd2 import gf4
 from lcd2.classify import EquivClass, representative_atuple
 from lcd2.code import LinearCode
+from lcd2.family import ATuple, _parity_condition, delta, dmax
 from lcd2.linalg import Mat, mat, rank
 
 
@@ -158,6 +159,29 @@ def random_full_rank(rng: random.Random, k: int, n: int) -> Mat:
         gen = mat([tuple(rng.randrange(4) for _ in range(n)) for _ in range(k)])
         if rank(gen) == k:
             return gen
+
+
+def cube_optimal_tuples(n: int) -> list[ATuple]:
+    """``enumerate_optimal`` by the full cube 0 <= b3 <= b4, b5 <= delta,
+    skipping the cells where b2 = delta + 1 - (b3 + b4 + b5) < 1."""
+    d = dmax(n)
+    dl = delta(n, d)
+    t = n - d
+    out = []
+    for b3 in range(dl + 1):
+        for b4 in range(b3, dl + 1):
+            for b5 in range(b3, dl + 1):
+                if not _parity_condition(b3, b4, b5, d):
+                    continue
+                b2 = dl + 1 - (b3 + b4 + b5)
+                if b2 < 1:
+                    continue
+                entries = (t - 1, t - b2, t - b3, t - b4, t - b5)
+                if min(entries) < 0:
+                    continue
+                out.append(ATuple(*entries))
+    out.sort(key=lambda a: a.entries)
+    return out
 
 
 # Reference rendering of class lists: the dicts fed to json.dumps(indent=2),

@@ -238,6 +238,47 @@ def test_csv_field_quotes_as_csv_writer_does():
         assert buf.getvalue() == f"x,{_csv_field(field)},y\n", field
 
 
+def test_csv_output_reads_back_as_the_json_values(capsys):
+    # Verify details, labels and matrix texts hold commas, so their CSV
+    # fields are quoted; csv.reader must recover every field as JSON has it.
+    def text(value):
+        return str(value).lower() if isinstance(value, bool) else str(value)
+
+    cases = [
+        (
+            ("verify", "--n-max", "12"),
+            ["id", "n", "pass", "detail"],
+            lambda o: [[c["id"], c["n"], c["pass"], c["detail"]] for c in o["checks"]],
+        ),
+        (
+            ("construct", "a0=1;0,0,1,0,0"),
+            ["a0", "a", "n", "matrix"],
+            lambda o: [[o["a0"], " ".join(map(str, o["a"])), o["n"], o["matrix"]]],
+        ),
+        (
+            ("enumerate", "19"),
+            ["a1", "a2", "a3", "a4", "a5", "label"],
+            lambda o: [[*t["a"], t["label"] or ""] for t in o["tuples"]],
+        ),
+        (
+            ("check", "1,0,0,1,1,1,1;0,1,1,0,1,w,w2"),
+            ["n", "k", "d", "hull_dimension", "hermitian_lcd", "weight_enumerator"],
+            lambda o: [[o[key] for key in ("n", "k", "d", "hull_dimension", "hermitian_lcd")]
+                       + [o["weight_enumerator_poly"]]],
+        ),
+        (("bound", "7"), ["n", "d", "delta"], lambda o: [[o["n"], o["d"], o["delta"]]]),
+    ]
+    for argv, header, rows_of in cases:
+        rc, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert rc == 0
+        expected = [header] + [[text(v) for v in row] for row in rows_of(json.loads(out))]
+        rc, out, _ = run_cli(capsys, *argv, "--format", "csv")
+        assert rc == 0
+        assert list(csv.reader(io.StringIO(out))) == expected, argv
+        if argv[0] == "verify":
+            assert any("," in row[3] for row in expected[1:])
+
+
 def test_empty_class_list_output(capsys):
     for fmt in FORMATS:
         _emit_classes(2, [], {}, fmt, "header")

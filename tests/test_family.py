@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+import lcd2.family as family_module
+from helpers import cube_optimal_tuples
 from lcd2 import gf4
 from lcd2.code import LinearCode, is_hermitian_lcd, min_weight, weight_enumerator
 from lcd2.family import (
@@ -147,6 +149,31 @@ def test_enumerate_optimal_tuples_are_optimal_lcd():
             code = LinearCode(build_generator(a))
             assert min_weight(code) == d
             assert is_hermitian_lcd(code)
+
+
+def test_enumerate_optimal_matches_the_cube_walk():
+    lengths = [*range(2, 2001)]
+    lengths += [base + r for base in (10**6, 10**9) for r in range(5)]
+    for n in lengths:
+        assert enumerate_optimal(n) == cube_optimal_tuples(n), n
+
+
+def test_enumerate_optimal_tests_parity_only_inside_the_delta_window(monkeypatch):
+    # The window 0 <= b3 <= b4, b5 with b3 + b4 + b5 <= delta has 27, 18,
+    # 11, 6 and 39 cells for n = 0..4 (mod 5), where delta = 5, 4, 3, 2, 6;
+    # the cube 0 <= b3 <= b4, b5 <= delta has 91, 55, 30, 14 and 140.
+    calls = []
+    parity = family_module._parity_condition
+
+    def counted(*args):
+        calls.append(args)
+        return parity(*args)
+
+    monkeypatch.setattr(family_module, "_parity_condition", counted)
+    for n, cells in zip(range(30, 40), (27, 18, 11, 6, 39) * 2):
+        calls.clear()
+        enumerate_optimal(n)
+        assert len(calls) == cells, n
 
 
 def test_move_swap345():
