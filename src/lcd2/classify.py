@@ -34,11 +34,14 @@ serves as the cross-validating check.
 
 ``verify_classification`` replays the known classification data
 (catalog, equivalence chains, weight enumerator forms, class counts)
-against the independent census and returns a structured report.  It
-instantiates the catalog once per length, as a view from each valid
-row's label to its tuple and class key (a0, canonical mp); the checks
-and the labels read that view and the census forms, and build no class
-object.
+against the independent census and returns a structured report.  At
+n = 5m + r the catalog row with offsets c has the tuple m + c and the
+class key (0, m + K), K the canonical form of the offsets' point
+multiplicities: sorting and the parity swap commute with adding m to
+every part.  The rows are read once, at import, so each length's view
+from label to tuple and class key is additions alone; the checks, the
+labels and ``enumerate``'s labels read that view and the census forms,
+and build no class object.
 """
 
 from __future__ import annotations
@@ -159,13 +162,15 @@ def multvector_to_code(mv: MultVector) -> LinearCode:
     return LinearCode(Mat((top, bot), len(cols)))
 
 
-def _atuple_mp(a: ATuple) -> tuple[int, int, int, int, int]:
-    """Point multiplicities of the parametric generator: (1+a2, 1+a1, a3, a4, a5)."""
-    return (1 + a.a2, 1 + a.a1, a.a3, a.a4, a.a5)
+def _atuple_mp(entries: tuple[int, ...]) -> tuple[int, int, int, int, int]:
+    """Point multiplicities (1+a2, 1+a1, a3, a4, a5) of the parametric
+    generator of entries (a1, .., a5)."""
+    a1, a2, a3, a4, a5 = entries
+    return (1 + a2, 1 + a1, a3, a4, a5)
 
 
 def multvector_of_atuple(a: ATuple) -> MultVector:
-    return MultVector(a.a0, _atuple_mp(a))
+    return MultVector(a.a0, _atuple_mp(a.entries))
 
 
 @functools.lru_cache(maxsize=1)
@@ -502,10 +507,35 @@ def expected_optimal_class_count(n: int) -> int:
     return {0: 1, 1: 3, 2: 4}.get(m, 5)
 
 
-def _catalog_view(n: int) -> dict[str, tuple[ATuple, tuple[int, tuple[int, ...]]]]:
-    """Label -> (tuple, class key (a0, canonical mp)) of the catalog rows
-    valid at length n, in catalog order."""
-    return {f.label: (a, (a.a0, _canonical_mp(_atuple_mp(a)))) for f, a in fam.family_tuples(n)}
+# Per residue r, the catalog rows (label, offsets c, m_min, key offsets K)
+# in catalog order, so that row i is C_{5m+r,i}; K is the canonical form of
+# the point multiplicities of c.
+_CATALOG_ROWS = {
+    residue: tuple(
+        (f.label, f.offsets, f.m_min, _canonical_mp(_atuple_mp(f.offsets)))
+        for f in fam.family_catalog()
+        if f.residue == residue
+    )
+    for residue in range(5)
+}
+
+
+def _catalog_view(n: int) -> dict[str, tuple[tuple[int, ...], tuple[int, tuple[int, ...]]]]:
+    """Label -> (entries (a1, .., a5), class key (a0, canonical mp)) of the
+    catalog rows valid at n = 5m + r, in catalog order: m + c and (0, m + K)
+    for the rows of ``_CATALOG_ROWS[r]`` with m >= m_min, since sorting and
+    the parity swap commute with adding m to every part."""
+    if n < 2:
+        raise ValueError(f"n must be >= 2, got {n}")
+    m, residue = divmod(n, 5)
+    return {
+        label: (
+            (m + c1, m + c2, m + c3, m + c4, m + c5),
+            (0, (m + k1, m + k2, m + k3, m + k4, m + k5)),
+        )
+        for label, (c1, c2, c3, c4, c5), m_min, (k1, k2, k3, k4, k5) in _CATALOG_ROWS[residue]
+        if m >= m_min
+    }
 
 
 def _label_map(view: dict) -> dict[tuple[int, tuple[int, ...]], str]:
@@ -562,7 +592,7 @@ class VerificationReport:
 
 def _check_catalog(n: int, view: dict) -> CheckResult:
     enumerated = {a.entries for a in fam.enumerate_optimal(n)}
-    catalog = {a.entries for a, _ in view.values()}
+    catalog = {entries for entries, _ in view.values()}
     if enumerated == catalog:
         detail = f"{len(enumerated)} parameter tuples; cube enumeration matches catalog"
         return CheckResult("T1", n, True, detail)
@@ -573,10 +603,11 @@ def _check_catalog(n: int, view: dict) -> CheckResult:
 
 def _check_chains(n: int, view: dict) -> CheckResult:
     residue = n % 5
+    rows = _CATALOG_ROWS[residue]
     problems = []
     chain_canons = []
     for chain in EQUIV_CHAINS[residue]:
-        labels = (fam._family_label(residue, index) for index in chain)
+        labels = (rows[index - 1][0] for index in chain)
         canons = {view[label][1] for label in labels if label in view}
         if not canons:
             continue
@@ -603,7 +634,7 @@ def _check_weight_forms(n: int, view: dict) -> CheckResult:
     for label in CLASS_REPRESENTATIVE_LABELS[residue]:
         if label not in view:
             continue
-        computed = codeops.weight_enumerator(LinearCode(build_generator(view[label][0])))
+        computed = codeops.weight_enumerator(LinearCode(build_generator(ATuple(*view[label][0]))))
         expected = representative_weight_form(label, m)
         if computed != expected:
             problems.append(f"{label}: computed {computed} != form {expected}")

@@ -250,7 +250,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
 def cmd_enumerate(args: argparse.Namespace) -> int:
     tuples = fam.enumerate_optimal(args.n)
     d = fam.dmax(args.n)
-    labels = {a.entries: f.label for f, a in fam.family_tuples(args.n)}
+    labels = {entries: label for label, (entries, _) in cls._catalog_view(args.n).items()}
     if args.format == "json":
         _print_json(
             {

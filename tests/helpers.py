@@ -15,9 +15,9 @@ import json
 import random
 
 from lcd2 import gf4
-from lcd2.classify import EquivClass, representative_atuple
+from lcd2.classify import EquivClass, _atuple_mp, _canonical_mp, representative_atuple
 from lcd2.code import LinearCode
-from lcd2.family import ATuple, _parity_condition, delta, dmax
+from lcd2.family import ATuple, _parity_condition, delta, dmax, family_tuples
 from lcd2.linalg import Mat, mat, rank
 
 
@@ -182,6 +182,16 @@ def cube_optimal_tuples(n: int) -> list[ATuple]:
                 out.append(ATuple(*entries))
     out.sort(key=lambda a: a.entries)
     return out
+
+
+def catalog_view_reference(n: int) -> dict:
+    """``classify._catalog_view`` rebuilt row by row: each catalog tuple
+    instantiated at n as an ``ATuple``, reported by its entries, with the
+    canonical form of its own point multiplicities as the class key."""
+    return {
+        f.label: (a.entries, (a.a0, _canonical_mp(_atuple_mp(a.entries))))
+        for f, a in family_tuples(n)
+    }
 
 
 # Reference rendering of class lists: the dicts fed to json.dumps(indent=2),

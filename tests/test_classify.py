@@ -6,6 +6,7 @@ import random
 import pytest
 
 from helpers import (
+    catalog_view_reference,
     equivalent_by_search,
     random_equivalent_image,
     random_rank2_matrix,
@@ -17,6 +18,7 @@ from lcd2.classify import (
     EQUIV_CHAINS,
     EquivClass,
     MultVector,
+    _catalog_view,
     _census_enumerated,
     _iter_compositions,
     _lcd_from_mult,
@@ -46,7 +48,7 @@ from lcd2.code import (
     min_weight,
     weight_enumerator,
 )
-from lcd2.family import ATuple, build_generator, dmax, family_catalog, family_tuples
+from lcd2.family import ATuple, build_generator, dmax, family_catalog
 from lcd2.linalg import identity, mat
 
 
@@ -541,11 +543,53 @@ def test_verify_instantiates_the_catalog_once_per_length(monkeypatch):
 
     def counted(n):
         calls.append(n)
-        return family_tuples(n)
+        return _catalog_view(n)
 
-    monkeypatch.setattr(family_module, "family_tuples", counted)
+    monkeypatch.setattr(classify_module, "_catalog_view", counted)
     assert verify_classification(60).passed
     assert sorted(calls) == list(range(2, 61))
+
+
+def test_catalog_view_matches_the_catalog_rebuilt_row_by_row():
+    lengths = [*range(2, 3001), *(base + r for base in (10**6, 10**9, 10**20) for r in range(5))]
+    for n in lengths:
+        assert list(_catalog_view(n).items()) == list(catalog_view_reference(n).items()), n
+    for n in (-1, 0, 1):
+        errors = []
+        for view in (_catalog_view, catalog_view_reference):
+            with pytest.raises(ValueError) as exc:
+                view(n)
+            errors.append(str(exc.value))
+        assert errors == [f"n must be >= 2, got {n}"] * 2
+
+
+def test_verify_reports_a_corrupt_catalog_row(monkeypatch):
+    # The view reads the rows fixed at import, so the corruption goes into
+    # that table: C_{5m+4,8} gets the offsets (2, 0, 0, 0, 0) but keeps its
+    # class key, which T2 and T4 read.
+    rows = list(classify_module._CATALOG_ROWS[4])
+    label, _, m_min, key = rows[7]
+    assert label == "C_{5m+4,8}"
+    rows[7] = (label, (2, 0, 0, 0, 0), m_min, key)
+    monkeypatch.setitem(classify_module._CATALOG_ROWS, 4, tuple(rows))
+    # (2, 0, 0, 0, 0) + m has point multiplicities (1, 3, 0, 0, 0) + m: at
+    # t = 4m + 4 nonzero columns, 3 words each of weights t - 1 - m and
+    # t - 3 - m, and 9 of weight t - m.
+    expected = []
+    for m in range(3):
+        n, w = 5 * m + 4, 4 * m
+        catalog, enumerated = (m + 2, m, m, m, m), (m + 1, m, m + 1, m, m)
+        expected += [
+            ("T1", n, False, f"missing=[{catalog}] extra=[{enumerated}]"),
+            (
+                "T3",
+                n,
+                False,
+                f"C_{{5m+4,8}}: computed 1+3y^{w + 1}+3y^{w + 3}+9y^{w + 4} "
+                f"!= form 1+3y^{w + 2}+6y^{w + 3}+6y^{w + 4}",
+            ),
+        ]
+    assert _failures(14) == expected
 
 
 def test_verify_classification_beyond_the_census_budget():

@@ -26,7 +26,7 @@ from lcd2.classify import (
 )
 from lcd2.cli import _csv_field, _emit_classes, build_parser, main
 from lcd2.code import LinearCode
-from lcd2.family import ATuple, build_generator, family_catalog
+from lcd2.family import ATuple, build_generator, enumerate_optimal, family_catalog
 from lcd2.linalg import format_matrix
 
 
@@ -339,6 +339,30 @@ def test_census_and_classify_build_no_class_objects(capsys, monkeypatch):
     monkeypatch.setattr(MultVector, "__post_init__", refuse)
     for argv, out in expected.items():
         assert run_cli(capsys, *argv) == (0, out, ""), argv
+
+
+def test_classify_and_enumerate_read_the_catalog_without_tuples_or_canonical_forms(monkeypatch):
+    # The catalog view adds m to offsets fixed at import: classify builds
+    # no ATuple and no canonical form, and enumerate builds only the
+    # ATuples of its enumeration.
+    optimal = len(enumerate_optimal(29))
+    counts = {"ATuple": 0, "canonical": 0}
+    post_init, canonical_mp = ATuple.__post_init__, classify_module._canonical_mp
+
+    def counted_post_init(self):
+        counts["ATuple"] += 1
+        post_init(self)
+
+    def counted_canonical_mp(mp):
+        counts["canonical"] += 1
+        return canonical_mp(mp)
+
+    monkeypatch.setattr(ATuple, "__post_init__", counted_post_init)
+    monkeypatch.setattr(classify_module, "_canonical_mp", counted_canonical_mp)
+    assert main(["classify", "29", "--include-zero-columns"]) == 0
+    assert counts == {"ATuple": 0, "canonical": 0}
+    assert main(["enumerate", "29"]) == 0
+    assert counts == {"ATuple": optimal, "canonical": 0}
 
 
 def test_census_rejects_bad_length(capsys):
