@@ -1,74 +1,38 @@
 """Command-line front end.
 
 Commands: bound, check, construct, enumerate, classify, census, verify.
-Every command accepts --format {text,json,csv}.
-Exit codes: 0 on success, 1 when verification finds a failing check,
-2 on usage or parse errors and on check, construct, census or verify
-requests over the work budget, 141 when the reader closes stdout early.
+Every command accepts --format {text,json,csv}.  ``_COMMANDS`` is the
+whole grammar: per command its handler, help line, positional and
+options.  Options may come before, between or after the positional, as
+``--opt value`` or ``--opt=value``, cut to any prefix no other option of
+the command shares; the last of a repeated option wins, ``--`` ends the
+options, and ``-`` and negative numbers are positionals.  ``-h`` or
+``--help``, before the command or after it, prints the commands or that
+command's usage and options.  The parser accepts and refuses what the
+argparse tree it replaced did (``tests/helpers.py::reference_parser``).
+Exit codes: 0 on success and after help, 1 when verification finds a
+failing check, 2 on usage errors (stdout empty; stderr holds a
+``usage: lcd2 ...`` line and a ``lcd2 ...: error: ...`` line), on parse
+errors and on check, construct, census or verify requests over the work
+budget, 141 when the reader closes stdout early.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import os
+import re
 import sys
 from collections.abc import Iterable
 from itertools import starmap
+from types import SimpleNamespace
 
 from . import classify as cls
 from . import code as codeops
 from . import family as fam
 from .code import LinearCode
 from .linalg import format_matrix, parse_matrix
-
-
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built on first use and shared by every
-    ``main`` call in the process (parsing leaves it unchanged)."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format",
-        choices=("text", "json", "csv"),
-        default="text",
-        help="output format (default: text)",
-    )
-    parser = argparse.ArgumentParser(
-        prog="lcd2",
-        description=(
-            "Construct, test and exhaustively classify optimal quaternary "
-            "Hermitian LCD codes of dimension 2."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("bound", parents=[common], help="largest minimum weight at length n")
-    p.add_argument("n", type=int)
-
-    p = sub.add_parser("check", parents=[common], help="analyse a generator matrix")
-    p.add_argument("matrix", help="rows by ';', entries by ',' (e.g. '1,0;0,w'); '-' reads stdin")
-
-    p = sub.add_parser("construct", parents=[common], help="build the parametric generator matrix")
-    p.add_argument("atuple", help="'a1,a2,a3,a4,a5', optionally prefixed 'a0=K;'")
-
-    p = sub.add_parser("enumerate", parents=[common], help="optimal parameter tuples at length n")
-    p.add_argument("n", type=int)
-
-    p = sub.add_parser("classify", parents=[common], help="optimal classes up to equivalence")
-    p.add_argument("n", type=int)
-    p.add_argument("--include-zero-columns", action="store_true")
-
-    p = sub.add_parser("census", parents=[common], help="equivalence classes at length n")
-    p.add_argument("n", type=int)
-    p.add_argument("--filter", choices=cls.VALID_FILTERS, default="lcd")
-    p.add_argument("--include-zero-columns", action="store_true")
-
-    p = sub.add_parser("verify", parents=[common], help="re-check the known classification")
-    p.add_argument("--n-max", type=int, default=32)
-
-    return parser
 
 
 def _print_csv(header: list[str], rows: Iterable[list]) -> None:
@@ -173,7 +137,7 @@ def _emit_classes(n: int, runs: Iterable, labels: dict, fmt: str, header: str):
         out.write("[]\n" if sep == "[\n" else "\n]\n")
 
 
-def cmd_bound(args: argparse.Namespace) -> int:
+def cmd_bound(args: SimpleNamespace) -> int:
     d = fam.dmax(args.n)
     delta = fam.delta(args.n, d)
     if args.format == "json":
@@ -192,7 +156,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
 _TEXT_BUDGET = 4 * codeops.CODEWORD_BUDGET
 
 
-def cmd_check(args: argparse.Namespace) -> int:
+def cmd_check(args: SimpleNamespace) -> int:
     text = sys.stdin.read(_TEXT_BUDGET + 1) if args.matrix == "-" else args.matrix
     if len(text) > _TEXT_BUDGET:
         raise ValueError(f"matrix text longer than the budget of {_TEXT_BUDGET} characters")
@@ -231,7 +195,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_construct(args: argparse.Namespace) -> int:
+def cmd_construct(args: SimpleNamespace) -> int:
     a = fam.parse_atuple(args.atuple)
     gen = fam.build_generator(a)
     text = format_matrix(gen)
@@ -247,7 +211,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_enumerate(args: argparse.Namespace) -> int:
+def cmd_enumerate(args: SimpleNamespace) -> int:
     tuples = fam.enumerate_optimal(args.n)
     d = fam.dmax(args.n)
     labels = {entries: label for label, (entries, _) in cls._catalog_view(args.n).items()}
@@ -275,7 +239,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _write_census(args: argparse.Namespace, filt: str, labels: dict, kind: str) -> int:
+def _write_census(args: SimpleNamespace, filt: str, labels: dict, kind: str) -> int:
     """The census of ``args.n`` under ``filt``, labelled by ``labels``, after
     a header whose class count follows ``kind``."""
     runs = list(cls.census_runs(args.n, filt, args.include_zero_columns))
@@ -288,16 +252,16 @@ def _write_census(args: argparse.Namespace, filt: str, labels: dict, kind: str) 
     return 0
 
 
-def cmd_classify(args: argparse.Namespace) -> int:
+def cmd_classify(args: SimpleNamespace) -> int:
     labels = cls._label_map(cls._catalog_view(args.n))
     return _write_census(args, "optimal_lcd", labels, "optimal")
 
 
-def cmd_census(args: argparse.Namespace) -> int:
+def cmd_census(args: SimpleNamespace) -> int:
     return _write_census(args, args.filter, {}, f"filter={args.filter}")
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: SimpleNamespace) -> int:
     report = cls.verify_classification(args.n_max)
     if args.format == "json":
         _print_json(report.to_jsonable())
@@ -318,25 +282,216 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
+_FORMAT = {"--format": (("text", "json", "csv"), "text", "output format (default: text)")}
+_ZERO_COLUMNS = {"--include-zero-columns": (bool, False, "count codes with zero columns too")}
+_N = ("n", int, "")
+
+# command -> (handler, help, positional (name, type, help) or None, options
+# {flag: (kind, default, help)}), kind being int, bool for a flag that takes
+# no value, or the values accepted.  No flag is a prefix of another.
 _COMMANDS = {
-    "bound": cmd_bound,
-    "check": cmd_check,
-    "construct": cmd_construct,
-    "enumerate": cmd_enumerate,
-    "classify": cmd_classify,
-    "census": cmd_census,
-    "verify": cmd_verify,
+    "bound": (cmd_bound, "largest minimum weight at length n", _N, _FORMAT),
+    "check": (
+        cmd_check,
+        "analyse a generator matrix",
+        ("matrix", str, "rows by ';', entries by ',' (e.g. '1,0;0,w'); '-' reads stdin"),
+        _FORMAT,
+    ),
+    "construct": (
+        cmd_construct,
+        "build the parametric generator matrix",
+        ("atuple", str, "'a1,a2,a3,a4,a5', optionally prefixed 'a0=K;'"),
+        _FORMAT,
+    ),
+    "enumerate": (cmd_enumerate, "optimal parameter tuples at length n", _N, _FORMAT),
+    "classify": (cmd_classify, "optimal classes up to equivalence", _N, {**_FORMAT, **_ZERO_COLUMNS}),
+    "census": (
+        cmd_census,
+        "equivalence classes at length n",
+        _N,
+        {
+            **_FORMAT,
+            "--filter": (cls.VALID_FILTERS, "lcd", "classes kept (default: lcd)"),
+            **_ZERO_COLUMNS,
+        },
+    ),
+    "verify": (
+        cmd_verify,
+        "re-check the known classification",
+        None,
+        {**_FORMAT, "--n-max": (int, 32, "largest length checked (default: 32)")},
+    ),
 }
+
+_DESCRIPTION = (
+    "Construct, test and exhaustively classify optimal quaternary "
+    "Hermitian LCD codes of dimension 2."
+)
+_IS_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$").match
+
+
+def _metavar(flag: str, kind) -> str:
+    if kind is bool:
+        return ""
+    return " " + (flag[2:].upper().replace("-", "_") if kind is int else "{" + ",".join(kind) + "}")
+
+
+def _usage(command: str | None) -> str:
+    if command is None:
+        return f"usage: lcd2 [-h] {{{','.join(_COMMANDS)}}} ..."
+    _, _, positional, options = _COMMANDS[command]
+    words = [f"usage: lcd2 {command} [-h]"]
+    words += (f"[{flag}{_metavar(flag, kind)}]" for flag, (kind, _, _) in options.items())
+    return " ".join(words + ([positional[0]] if positional else []))
+
+
+def _help(command: str | None) -> str:
+    """What ``-h`` prints: the usage line, then the commands, or the
+    command's positional and options, one per line."""
+    if command is None:
+        summary, rows = _DESCRIPTION, [(name, row[1]) for name, row in _COMMANDS.items()]
+    else:
+        _, summary, positional, options = _COMMANDS[command]
+        rows = [(positional[0], positional[2])] if positional else []
+        rows += [(flag + _metavar(flag, kind), text) for flag, (kind, _, text) in options.items()]
+    rows.append(("-h, --help", "show this help message and exit"))
+    width = max(len(left) for left, _ in rows)
+    lines = [f"  {left:<{width}}  {text}".rstrip() for left, text in rows]
+    return "\n".join([_usage(command), "", summary, "", *lines])
+
+
+def _refuse(command: str | None, message: str):
+    """Write the usage of ``command`` (the top level when None) and
+    ``message`` to stderr, and exit 2."""
+    prog = "lcd2" if command is None else f"lcd2 {command}"
+    sys.stderr.write(f"{_usage(command)}\n{prog}: error: {message}\n")
+    raise SystemExit(2)
+
+
+def _read_arg(arg: str, flags, command: str | None):
+    """``arg`` read against ``flags`` (``--help`` first): None for a
+    positional, else (flag, the value after '=' or None), with flag None
+    for an unknown option.  A long flag may be cut to any prefix no other
+    flag shares.  ``-h`` is ``--help``; so is ``-hh...``, bundled flags
+    all being ``-h``.  ``-``, ``--`` and negative numbers are positionals."""
+    if arg[:1] != "-" or arg in ("-", "--"):
+        return None
+    if arg[1] != "-":
+        if arg[:2] != "-h":
+            return None if _IS_NEGATIVE_NUMBER(arg) or " " in arg else (None, None)
+        value = arg[3:] if arg[2:3] == "=" else arg[2:]
+        return "--help", value if value.strip("h") or arg == "-h=" else None
+    name, eq, value = arg.partition("=")
+    matches = [flag for flag in flags if flag.startswith(name)]
+    if len(matches) > 1:
+        _refuse(command, f"ambiguous option: {arg} could match {', '.join(matches)}")
+    if matches:
+        return matches[0], value if eq else None
+    return None if " " in arg else (None, None)
+
+
+def _convert(command: str, name: str, kind, value: str):
+    if kind is int:
+        try:
+            return int(value)
+        except ValueError:
+            _refuse(command, f"argument {name}: invalid int value: {value!r}")
+    if kind is not str and value not in kind:
+        choices = ", ".join(map(repr, kind))
+        _refuse(command, f"argument {name}: invalid choice: {value!r} (choose from {choices})")
+    return value
+
+
+def _parse_command(command: str, args: list[str]) -> tuple[SimpleNamespace, list[str]]:
+    """The namespace ``args`` give ``command``, and the strings that no
+    option or positional took.
+
+    Strings are read left to right, so ``-h`` answers unless an error
+    comes before it.  An option takes its value after '=' or as the next
+    string, which must be a positional.  The first ``--`` ends the options;
+    the positional takes a ``--`` right before or after it, and any other
+    ``--`` is left over.  The last of a repeated option wins."""
+    _, _, positional, options = _COMMANDS[command]
+    ns = SimpleNamespace(command=command)
+    for flag, (_, default, _) in options.items():
+        setattr(ns, flag[2:].replace("-", "_"), default)
+    stop = args.index("--") if "--" in args else len(args)
+    # A token per string: (flag, value) for an option, None for a
+    # positional, "--" for the end of the options; "--" again past the end.
+    tokens = [_read_arg(arg, ("--help", *options), command) for arg in args[:stop]]
+    tokens += ["--", *[None] * (len(args) - stop - 1), "--"]
+    extras = []
+    i = 0
+    while i < len(args):
+        token = tokens[i]
+        i += 1
+        if not isinstance(token, tuple):
+            start = i - 1 + (token == "--")
+            if positional is None or tokens[start] is not None:
+                extras.append(args[i - 1])
+                continue
+            name, kind, _ = positional
+            setattr(ns, name, _convert(command, name, kind, args[start]))
+            positional = None
+            i = start + 1 + (tokens[start + 1] == "--")
+            continue
+        flag, value = token
+        kind = bool if flag == "--help" else options.get(flag, (None,))[0]
+        if kind is None:
+            extras.append(args[i - 1])
+        elif kind is bool:
+            if value is not None:
+                _refuse(command, f"argument {flag}: ignored explicit argument {value!r}")
+            if flag == "--help":
+                print(_help(command))
+                raise SystemExit(0)
+            setattr(ns, flag[2:].replace("-", "_"), True)
+        else:
+            if value is None:
+                if tokens[i] is not None:
+                    _refuse(command, f"argument {flag}: expected one argument")
+                value = args[i]
+                i += 1
+            setattr(ns, flag[2:].replace("-", "_"), _convert(command, flag, kind, value))
+    if positional is not None:
+        _refuse(command, f"the following arguments are required: {positional[0]}")
+    return ns, extras
+
+
+def _parse(argv: list[str]) -> SimpleNamespace:
+    """The namespace of the command line ``argv``; exits 0 after help and
+    2 after a usage error, as ``argparse`` would."""
+    extras = []
+    for i, arg in enumerate(argv):
+        token = _read_arg(arg, ("--help",), None)
+        if token is None:
+            break
+        flag, value = token
+        if flag is None:
+            extras.append(arg)
+        elif value is not None:
+            _refuse(None, f"argument -h/--help: ignored explicit argument {value!r}")
+        else:
+            print(_help(None))
+            raise SystemExit(0)
+    else:
+        _refuse(None, "the following arguments are required: command")
+    if arg not in _COMMANDS:
+        choices = ", ".join(map(repr, _COMMANDS))
+        _refuse(None, f"argument command: invalid choice: {arg!r} (choose from {choices})")
+    ns, more = _parse_command(arg, argv[i + 1 :])
+    if extras or more:
+        _refuse(None, f"unrecognized arguments: {' '.join(extras + more)}")
+    return ns
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

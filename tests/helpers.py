@@ -8,6 +8,8 @@ route, not against themselves.
 
 from __future__ import annotations
 
+import argparse
+import contextlib
 import csv
 import io
 import itertools
@@ -15,6 +17,7 @@ import json
 import random
 
 from lcd2 import gf4
+from lcd2 import classify as cls
 from lcd2.classify import EquivClass, _atuple_mp, _canonical_mp, representative_atuple
 from lcd2.code import LinearCode
 from lcd2.family import ATuple, _parity_condition, delta, dmax, family_tuples
@@ -255,3 +258,148 @@ def render_classes(classes: list[EquivClass], fmt: str, header: str) -> str:
         for c in classes:
             print(class_text_line(c), file=buf)
     return buf.getvalue()
+
+
+def reference_parser() -> argparse.ArgumentParser:
+    """The argparse tree the command line was first parsed with, kept as
+    the oracle for ``lcd2.cli``'s table-driven parser."""
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument(
+        "--format",
+        choices=("text", "json", "csv"),
+        default="text",
+        help="output format (default: text)",
+    )
+    parser = argparse.ArgumentParser(
+        prog="lcd2",
+        description=(
+            "Construct, test and exhaustively classify optimal quaternary "
+            "Hermitian LCD codes of dimension 2."
+        ),
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("bound", parents=[common], help="largest minimum weight at length n")
+    p.add_argument("n", type=int)
+
+    p = sub.add_parser("check", parents=[common], help="analyse a generator matrix")
+    p.add_argument("matrix", help="rows by ';', entries by ',' (e.g. '1,0;0,w'); '-' reads stdin")
+
+    p = sub.add_parser("construct", parents=[common], help="build the parametric generator matrix")
+    p.add_argument("atuple", help="'a1,a2,a3,a4,a5', optionally prefixed 'a0=K;'")
+
+    p = sub.add_parser("enumerate", parents=[common], help="optimal parameter tuples at length n")
+    p.add_argument("n", type=int)
+
+    p = sub.add_parser("classify", parents=[common], help="optimal classes up to equivalence")
+    p.add_argument("n", type=int)
+    p.add_argument("--include-zero-columns", action="store_true")
+
+    p = sub.add_parser("census", parents=[common], help="equivalence classes at length n")
+    p.add_argument("n", type=int)
+    p.add_argument("--filter", choices=cls.VALID_FILTERS, default="lcd")
+    p.add_argument("--include-zero-columns", action="store_true")
+
+    p = sub.add_parser("verify", parents=[common], help="re-check the known classification")
+    p.add_argument("--n-max", type=int, default=32)
+
+    return parser
+
+
+# Per command: a valid positional (None: the command takes none) and each
+# option with two valid values (None for a flag).
+_GRID_COMMANDS = {
+    "bound": ("7", {"--format": ("json", "csv")}),
+    "check": ("1,0;0,1", {"--format": ("json", "csv")}),
+    "construct": ("1,1,1,1,1", {"--format": ("json", "csv")}),
+    "enumerate": ("7", {"--format": ("json", "csv")}),
+    "classify": ("7", {"--format": ("json", "csv"), "--include-zero-columns": None}),
+    "census": (
+        "7",
+        {"--format": ("json", "csv"), "--filter": ("all", "optimal_lcd"), "--include-zero-columns": None},
+    ),
+    "verify": (None, {"--format": ("json", "csv"), "--n-max": ("9", "-5")}),
+}
+
+
+def parser_grid() -> list[list[str]]:
+    """Command lines for the parser parity check, for every command: the
+    positional before, between and after options; ``--opt value`` and
+    ``--opt=value`` under every prefix of every long option (ambiguous ones
+    included); repeated options; ``--`` in each place, with ``-`` and
+    negative numbers as positionals; missing and extra positionals; bad
+    choices, non-int numbers and unknown options; and ``-h``, ``--help``
+    and ``--he`` at the top level and per command.  argparse 3.10 to 3.12
+    and 3.13 all agree on these; the lines they read differently (``-hx``,
+    ``--format=--``) are left out."""
+    grid = [
+        [], ["-h"], ["--help"], ["--he"], ["--h"], ["--help=x"], ["-hh"], ["-h="], ["--=x"],
+        ["bogus"], ["-"], ["-5"], [""], ["--"], ["--", "bound", "7"], ["-x"], ["-x", "bound", "7"],
+        ["--format", "json", "bound", "7"], ["--format", "bound", "7"], ["-h", "bogus"],
+        ["bogus", "-h"], ["-x", "--help"], ["-x", "bound", "7", "--help"], ["bound 7"],
+    ]
+    for command, (positional, options) in _GRID_COMMANDS.items():
+        pos = [positional] if positional else []
+        settings = [[flag] if values is None else [flag, values[0]] for flag, values in options.items()]
+        cases = [[], ["-h"], ["--help"], ["--he"], ["-hh"], ["-h="], ["--help=1"], ["--"], ["-"]]
+        cases += [["--", "--"], ["-5"], ["--", "-5"], ["-1.5"], ["-.5"], ["-5\n"], ["x"], ["7.0"], [""]]
+        cases += [["+7"], [" 7 "], ["7_0"], ["1,0"], ["-1,0"], ["- 1"], ["--x y"], ["--jobs", "2"]]
+        cases += [["--jobs=2"], ["-j"], ["--format", "xml"], ["--format"], ["--format", "--"]]
+        cases += [["--format", "-5"], ["--filter", "nope"], ["--n-max", "x"], ["--n-max", "-"]]
+        cases += [["--n-max", ""], ["--n-max=-5"], ["--include-zero-columns=1"], ["--=x"]]
+        cases += [["--include-zero-columns="], ["-x=1"], ["--format", "json", "--format", "csv"]]
+        for case in list(cases):
+            cases += [pos + case, case + pos, ["x", *pos, *case], [*pos, *case, "x"], [*pos, *pos, *case]]
+        cases += [[*pos, "--"], ["--", *pos], [*pos, "--", "--"], ["--", *pos, "--"]]
+        cases += [["--", *pos, "-h"], [*pos, "--", "-h"], ["-h", "--", *pos], [*pos, "-h", "--"]]
+        for setting in settings:
+            flag, *value = setting
+            cases += [pos + setting, setting + pos, [*setting, "--", *pos], [*pos, *setting, "--"]]
+            cases += [["--", *pos, *setting], [*pos, "--", *setting], [*setting, *pos, "--"]]
+            cases += [[*pos, *setting, *setting], [*setting, *pos, *setting], [flag, *pos]]
+            cases += [[*pos, *setting, "-h"], ["-h", *pos, *setting], [*setting, "--help", *pos]]
+            for end in range(3, len(flag) + 1):
+                prefix = flag[:end]
+                cases += [[*pos, prefix, *value], [prefix, *value, *pos]]
+                cases += [[*pos, "=".join([prefix, *value]) + "="], [*pos, prefix + "=" + "x"]]
+                if value:
+                    cases += [[*pos, f"{prefix}={value[0]}"], [f"{prefix}={value[0]}", *pos]]
+            if value:
+                values = options[flag]
+                cases += [[*pos, flag, values[0], flag, values[1]], [flag, values[1], *pos, flag, values[0]]]
+                cases += [[*pos, flag, values[0], f"{flag}={values[1]}"], [*pos, f"{flag}=", "x"]]
+        for order in itertools.permutations(settings):
+            flat = [arg for setting in order for arg in setting]
+            cases += [flat + pos, pos + flat, flat[:2] + pos + flat[2:]]
+        for prefix in ("--he", "--hel", "--h", "--f", "--fo", "--fi", "--i", "--n", "--in"):
+            cases += [[*pos, prefix], [prefix, *pos]]
+        grid += [[command, *case] for case in cases]
+    unique = {tuple(argv): None for argv in grid}
+    return [list(argv) for argv in unique]
+
+
+def parse_outcome(parse, argv: list[str]) -> tuple:
+    """(exit code or None, the namespace's vars or None, stdout) of
+    ``parse(argv)``; an exit code means help (0) or a usage error (2)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            ns = parse(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0), None, out.getvalue()
+    return None, vars(ns), out.getvalue()
+
+
+def parser_mismatches(parse, grid: list[list[str]]) -> list[tuple]:
+    """The command lines of ``grid`` on which ``parse`` and the reference
+    parser disagree: on the namespace where the reference accepts, and on
+    the exit code where it exits; after an error stdout must be empty.
+    Each entry is (argv, reference outcome, outcome)."""
+    reference = reference_parser().parse_args
+    bad = []
+    for argv in grid:
+        want = parse_outcome(reference, argv)
+        got = parse_outcome(parse, argv)
+        if want[:2] != got[:2] or (got[0] == 2 and got[2]) or (want[0] == 0) != bool(got[2]):
+            bad.append((argv, want, got))
+    return bad
