@@ -256,14 +256,14 @@ def representative_atuple(mv: MultVector) -> ATuple:
 # with zero columns.  The budget admits n <= 161, or n <= 78 with zero
 # columns; census(150, "all") walks 213k partitions into 378k classes (1.7
 # s and 117 MB peak RSS on a 2-vCPU x86-64 machine; ``lcd2 census 150
-# --filter all --format json``, which keeps only 19k runs, takes 1.8-2.4 s
-# and peaks at 19 MB, all but 0.04 s of it writing rows).  The
+# --filter all --format json``, which keeps only 19k runs, takes 0.6-0.85 s
+# and peaks at 19 MB: 0.15 s start-up, 0.03 s walk, the rest writing).  The
 # ``optimal_lcd`` walk is at most 11 partitions and needs no budget.
 CENSUS_BUDGET = 250_000
 
 
-def _lcd_from_mult(mp: tuple[int, ...]) -> bool:
-    """Gram determinant test from multiplicity parities.
+def _lcd_form(p0: int, p1: int, p2: int, r: int, x: int) -> bool:
+    """Gram determinant test of the form (p0, p1, p2, x, r - x) from parities.
 
     Column (x, y) contributes (x conj(x), x conj(y); y conj(x), y conj(y))
     to the Gram matrix and scaling leaves that contribution fixed, so only
@@ -271,11 +271,19 @@ def _lcd_from_mult(mp: tuple[int, ...]) -> bool:
 
         det = (e1+e3+e4+e5)(e2+e3+e4+e5) + norm(e3 + e4*w2 + e5*w)
 
-    over GF(2), where the norm term vanishes iff e3 = e4 = e5.
+    over GF(2), where the norm term vanishes iff e3 = e4 = e5.  With
+    s = p2 + r the product is k = (p0 + s)(p1 + s), the norm term is 1 when
+    r is odd, else the parity of p2 + x, and the form is LCD iff they
+    differ.  A run fixes p0, p1, p2 and r, so it is kept whole (r odd,
+    k = 0), dropped (r odd, k = 1) or halved (r even: p2 + x odd iff k = 0).
     """
-    a, b, c, d, e = mp
-    s = c + d + e
-    return (a + s) & (b + s) & 1 != ((c ^ d) | (d ^ e)) & 1
+    s = p2 + r
+    return (p0 + s) & (p1 + s) & 1 != (r | (p2 ^ x)) & 1
+
+
+def _lcd_from_mult(mp: tuple[int, ...]) -> bool:
+    """``_lcd_form`` of the multiplicities mp."""
+    return _lcd_form(mp[0], mp[1], mp[2], mp[3] + mp[4], mp[3])
 
 
 def _min_weight_from_mult(n: int, m0: int, mp: tuple[int, ...]) -> int:
@@ -392,18 +400,18 @@ def census_runs(n: int, filter: str = "lcd", include_zero_columns: bool = False)
 
 
 def _runs(n: int, m0_last: int, d_lo: int, d_hi: int, lcd: bool):
-    """The runs of m0 = 0..m0_last, cut to their LCD forms if ``lcd``: along
-    a run only p2 + x changes parity, so its first two forms set the stride."""
+    """The runs of m0 = 0..m0_last, cut to their LCD forms if ``lcd``: a run
+    with r odd is kept whole or dropped as ``_lcd_form`` of its first form
+    says, and one with r even is halved, from its first form or second."""
     for m0 in range(m0_last + 1):
         t = n - m0
         for p0, p1, p2, xs in _sorted_runs(t, d_lo, d_hi):
             if lcd:
-                x, r = xs[0], t - p0 - p1 - p2
-                ok0 = _lcd_from_mult((p0, p1, p2, x, r - x))
-                ok1 = len(xs) > 1 and _lcd_from_mult((p0, p1, p2, x + 1, r - x - 1))
-                if not (ok0 or ok1):
+                r = t - p0 - p1 - p2
+                keep = _lcd_form(p0, p1, p2, r, xs[0])
+                xs = xs[not keep::2] if r % 2 == 0 else xs if keep else None
+                if not xs:
                     continue
-                xs = xs if ok0 and ok1 else xs[ok1::2]
             yield (m0, p0, p1, p2, xs)
 
 

@@ -62,79 +62,95 @@ def _csv_field(field: str) -> str:
 
 def _emit_classes(n: int, runs: Iterable, labels: dict, fmt: str, header: str):
     """Write the classes of the runs (m0, p0, p1, p2, xs) of ``census_runs``
-    to stdout in ``fmt``, one string per class, labelled by ``labels``.
+    to stdout in ``fmt``, labelled by ``labels``: one string per run, and
+    each number formatted once.
 
-    A run fixes t = n - m0, r = t - p0 - p1 - p2, its prefix text, the
-    terms of (p2, p1, p0) and, when p1 > 0, the first three entries of
-    ``representative_entries`` (the last two are x and r - x); a form
-    (p0, p1, p2, x, r - x) adds d, the terms of its last two parts
-    (``_we_terms`` of all five where parts coincide) and, when p1 = 0,
-    its own ``representative_entries``.  Each distinct term is formatted
-    once per call.  JSON is byte for byte ``json.dumps(classes, indent=2)``
-    of the README schema's class objects; CSV is what ``csv.writer``
-    writes; text is the header and one line per class.
+    A call builds the separators, the label-less label and the term
+    openers; a run its prefix, its representative head (when p1 > 0, the
+    first three ``representative_entries``; the last two are x and r - x),
+    the text around its label, its close and, unless every form merges its
+    terms, the terms of (p2, p1, p0).  A form adds x, r - x, d and its
+    terms 3y^d and 3y^(t - min(x, r - x)), or, where parts coincide,
+    ``_we_terms`` of all five; when p1 = 0, its own
+    ``representative_entries``; and its label, if ``labels`` has one.
+    JSON is ``json.dumps(classes, indent=2)`` of the README schema's class
+    objects; CSV is what ``csv.writer`` writes; text is the header and one
+    line per class.
     """
-    term = functools.cache((',\n      "{0}": {1}' if fmt == "json" else "+{1}y^{0}").format)
     out = sys.stdout
-    if fmt == "csv":
-        out.write(_CLASS_CSV_HEADER)
-    elif fmt == "text":
-        out.write(header + "\n")
-    sep = "[\n"
-    head = f'  {{\n    "n": {n},\n    "d": '
+    json_fmt, text = fmt == "json", fmt == "text"
+    term = functools.cache((',\n      "{0}": {1}' if json_fmt else "+{1}y^{0}").format)
+    # open3 + w + next3 + v + end3 writes the terms 3y^w and 3y^v.
+    if json_fmt:
+        lead = f'  {{\n    "n": {n},\n    "d": '
+        sep, joiner = "[\n" + lead, ",\n" + lead
+        mp_sep, a_sep, none, quote = ",\n        ", ",\n      ", "null", json.dumps
+        head_open = '\n      ]\n    },\n    "representative_a": [\n      '
+        open3, next3, end3 = ',\n      "', '": 3,\n      "', '": 3'
+    else:
+        out.write(header + "\n" if text else _CLASS_CSV_HEADER)
+        sep = joiner = f"{n},"  # CSV rows open with n; text rows with their run's prefix
+        mp_sep = a_sep = "," if text else " "
+        none, quote = ("-", str) if text else ("", _csv_field)
+        head_open = " a=" if text else ","
+        open3, next3, end3 = "+3y^", "+3y^", ""
+    label = none
     for m0, p0, p1, p2, xs in runs:
         t = n - m0
         r = t - p0 - p1 - p2
         zero_col = "true" if m0 else "false"
-        tail = "".join(starmap(term, cls._we_terms(t, (p2, p1, p0))))
-        if p1:
-            a1, a2, a3 = cls.representative_entries((p0, p1, p2, xs[0], r - xs[0]))[:3]
-        if fmt == "json":
+        if json_fmt:
             prefix = (
                 f',\n    "canonical": {{\n      "m0": {m0},\n      "mp": [\n'
                 f"        {p0},\n        {p1},\n        {p2},\n        "
             )
-            after_a = f'\n    ],\n    "a0": {m0},\n    "label": '
+            before = f'\n    ],\n    "a0": {m0},\n    "label": '
+            after = ',\n    "weight_enumerator": {\n      "0": 1'
             close = f'\n    }},\n    "dual_min_weight_one": {zero_col}\n  }}'
-        elif fmt == "csv":
-            prefix = f",{m0},{p0} {p1} {p2} "
-            close = f",{zero_col}\n"
-        else:
+        elif text:
             prefix = f"m0={m0} mp={p0},{p1},{p2},"
+            before, after, close = " label=", f" dual_min_weight_one={zero_col} we=1", "\n"
+        else:
+            prefix, before, after = f",{m0},{p0} {p1} {p2} ", f",{m0},", ",1"
+            close = f",{zero_col}\n"
+        # Only a first form with x = p2 and a last with x = r - x merge their
+        # terms, so a run of those alone needs no tail.
+        if len(xs) > (xs[0] == p2) + (2 * xs[-1] == r):
+            tail = "".join(starmap(term, cls._we_terms(t, (p2, p1, p0))))
+        if p1:
+            a1, a2, a3, _, _ = cls.representative_entries((p0, p1, p2, xs[0], r - xs[0]))
+            head = f"{head_open}{a1}{a_sep}{a2}{a_sep}{a3}{a_sep}"
+        rows = []
         for x in xs:
             y = r - x
             lo, hi = (x, y) if x < y else (y, x)
-            d = t - hi
+            sx, sy, sd = str(x), str(y), str(t - hi)
             if lo == p2 or lo == hi:
                 we = "".join(starmap(term, cls._we_terms(t, (hi, lo, p2, p1, p0))))
             else:
-                we = term(d, 3) + term(t - lo, 3) + tail
+                we = f"{open3}{sd}{next3}{t - lo}{end3}{tail}"
             if p1:
-                a4, a5 = x, y
+                a4, a5 = sx, sy
             else:
                 a1, a2, a3, a4, a5 = cls.representative_entries((p0, p1, p2, x, y))
-            label = labels.get((m0, (p0, p1, p2, x, y))) if labels else None
-            if fmt == "json":
-                out.write(
-                    f"{sep}{head}{d}{prefix}{x},\n        {y}\n      ]\n    }},\n"
-                    f'    "representative_a": [\n      {a1},\n      {a2},\n      {a3},\n'
-                    f"      {a4},\n      {a5}{after_a}"
-                    f'{"null" if label is None else json.dumps(label)},\n'
-                    f'    "weight_enumerator": {{\n      "0": 1{we}{close}'
-                )
-                sep = ",\n"
-            elif fmt == "csv":
-                out.write(
-                    f"{n},{d}{prefix}{x} {y},{a1} {a2} {a3} {a4} {a5},{m0},"
-                    f"{_csv_field(label or '')},1{we}{close}"
+                head = f"{head_open}{a1}{a_sep}{a2}{a_sep}{a3}{a_sep}"
+            if labels:
+                found = labels.get((m0, (p0, p1, p2, x, y)))
+                label = none if found is None else quote(found)
+            if text:
+                rows.append(
+                    f"{prefix}{sx}{mp_sep}{sy} d={sd}{head}{a4}{a_sep}{a5}"
+                    f"{before}{label}{after}{we}{close}"
                 )
             else:
-                out.write(
-                    f"{prefix}{x},{y} d={d} a={a1},{a2},{a3},{a4},{a5} "
-                    f"label={label or '-'} dual_min_weight_one={zero_col} we=1{we}\n"
+                rows.append(
+                    f"{sep}{sd}{prefix}{sx}{mp_sep}{sy}{head}{a4}{a_sep}{a5}"
+                    f"{before}{label}{after}{we}{close}"
                 )
-    if fmt == "json":
-        out.write("[]\n" if sep == "[\n" else "\n]\n")
+                sep = joiner
+        out.write("".join(rows))
+    if json_fmt:
+        out.write("\n]\n" if sep == joiner else "[]\n")
 
 
 def cmd_bound(args: SimpleNamespace) -> int:

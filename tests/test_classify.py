@@ -21,6 +21,7 @@ from lcd2.classify import (
     _catalog_view,
     _census_enumerated,
     _iter_compositions,
+    _lcd_form,
     _lcd_from_mult,
     _min_weight_from_mult,
     _we_from_mult,
@@ -522,10 +523,12 @@ def test_verify_reports_a_wrong_class_count(monkeypatch):
 
 
 def test_verify_reports_a_missing_optimal_class(monkeypatch):
-    # (2, 3, 4, 5, 5) is the class C_{5m+4,21} at n = 19.
-    monkeypatch.setattr(
-        classify_module, "_lcd_from_mult", lambda mp: mp != (2, 3, 4, 5, 5) and _lcd_from_mult(mp)
-    )
+    # (2, 3, 4, 5, 5) is the class C_{5m+4,21} at n = 19, the only form of
+    # its optimal run; the LCD stride reads the run's first form alone.
+    def corrupt(p0, p1, p2, r, x):
+        return (p0, p1, p2, x, r - x) != (2, 3, 4, 5, 5) and _lcd_form(p0, p1, p2, r, x)
+
+    monkeypatch.setattr(classify_module, "_lcd_form", corrupt)
     assert _failures(20) == [
         ("T4", 19, False, "4 classes, expected 5; 5 classes with zero columns allowed, expected 6"),
         (

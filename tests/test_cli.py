@@ -187,12 +187,16 @@ def test_census_filters(capsys):
 
 
 FORMATS = ("text", "json", "csv")
+FILTERS = ("all", "lcd", "optimal_lcd")
+# Lengths the census and classify reference-rendering tests walk.
+CENSUS_LENGTHS = range(2, 31)
+CLASSIFY_LENGTHS = range(2, 41)
 
 
 @pytest.mark.parametrize("zero", [False, True])
-@pytest.mark.parametrize("filt", ["all", "lcd", "optimal_lcd"])
+@pytest.mark.parametrize("filt", FILTERS)
 def test_census_output_matches_the_reference_rendering(capsys, filt, zero):
-    for n in range(2, 31):
+    for n in CENSUS_LENGTHS:
         classes = census(n, filt, zero)
         header = (
             f"n={n} filter={filt} classes={len(classes)} "
@@ -207,7 +211,7 @@ def test_census_output_matches_the_reference_rendering(capsys, filt, zero):
 
 def test_classify_output_matches_the_reference_rendering(capsys):
     labels = set()
-    for n in range(2, 41):
+    for n in CLASSIFY_LENGTHS:
         for zero in (False, True):
             classes = classify_optimal(n, zero)
             labels.update(c.label for c in classes)
@@ -235,6 +239,45 @@ def test_classify_at_huge_lengths_matches_the_reference_rendering(capsys):
             rc, out, _ = run_cli(capsys, *argv, *(["--include-zero-columns"] if zero else []))
             assert rc == 0
             assert out == render_classes(classes, fmt, header), (n, zero, fmt)
+
+
+def test_reference_renderings_reach_every_case_the_writer_treats_apart():
+    # The runs the census and classify reference tests above walk hold each
+    # case _emit_classes writes differently, so their byte-identity reaches
+    # every branch of the writer.
+    walks = [
+        (n, filt, zero, {}) for n in CENSUS_LENGTHS for filt in FILTERS for zero in (False, True)
+    ]
+    walks += [
+        (n, "optimal_lcd", zero, classify_module._label_map(classify_module._catalog_view(n)))
+        for n in CLASSIFY_LENGTHS
+        for zero in (False, True)
+    ]
+    seen = set()
+    for n, filt, zero, labels in walks:
+        for m0, p0, p1, p2, xs in census_runs(n, filt, zero):
+            r = n - m0 - p0 - p1 - p2
+            if 2 * xs[0] > r:
+                seen.add("mirror run")
+            if p1 == 0:
+                seen.add(f"p1 = 0 run with {'three' if p2 == 0 else 'two'} zero parts")
+            for x in xs:
+                if min(x, r - x) == p2:
+                    seen.add("row with lo == p2")
+                if x == r - x:
+                    seen.add("row with x == y")
+                if labels:
+                    key = (m0, (p0, p1, p2, x, r - x))
+                    seen.add("labelled row" if key in labels else "unlabelled row")
+    assert seen == {
+        "mirror run",
+        "row with lo == p2",
+        "row with x == y",
+        "p1 = 0 run with two zero parts",
+        "p1 = 0 run with three zero parts",
+        "labelled row",
+        "unlabelled row",
+    }
 
 
 def test_csv_field_quotes_as_csv_writer_does():
