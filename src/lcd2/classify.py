@@ -19,18 +19,19 @@ lies in a range, in lexicographic order, as runs.  A run is a prefix
 (p0, p1, p2) and a range of x for the forms (p0, p1, p2, x, r - x), with
 r the rest of t: first the sorted partitions, then any mirrors of
 five-distinct ones, the other A5 orbit of each such multiset.  The
-``all`` and ``lcd`` census take every d >= 1; the distance-optimal
-census takes d = dmax(n) alone: at most 11 partitions over at most 2
-values of m0, at any length.  The filters read the multiplicities alone:
-minimum weight is n - m0 - max(mp) (each nonzero message class zeroes
-exactly one point type), and the Gram determinant reduces to a parity
-formula in which only the parity of p2 + x changes along a run.  The
-``all`` and ``lcd`` walks grow as n^4 (n^5 with zero columns) and are
-capped by ``CENSUS_BUDGET``.  Class objects are built only by ``census``
-and ``classify_optimal``; the command line renders the runs.  An
-``EquivClass`` accepts only a rank-2 canonical form.  The oracle
-``_census_enumerated`` recomputes everything from actual codewords and
-serves as the cross-validating check.
+``all`` and ``lcd`` census walk every d >= 1.  The distance-optimal
+census is a table: at n = 5m + r its forms are m plus fixed offsets
+(``_OPTIMAL_ROWS``, read once at import from the d = dmax(n) window walk
+at m = 4), a few additions at any length.  The filters read the
+multiplicities alone: minimum weight is n - m0 - max(mp) (each nonzero
+message class zeroes exactly one point type), and the Gram determinant
+reduces to a parity formula in which only the parity of p2 + x changes
+along a run.  The ``all`` and ``lcd`` walks grow as n^4 (n^5 with zero
+columns) and are capped by ``CENSUS_BUDGET``.  Class objects are built
+only by ``census`` and ``classify_optimal``; the command line renders the
+runs.  An ``EquivClass`` accepts only a rank-2 canonical form.  The
+oracle ``_census_enumerated`` recomputes everything from actual
+codewords and serves as the cross-validating check.
 
 ``verify_classification`` replays the known classification data
 (catalog, equivalence chains, weight enumerator forms, class counts)
@@ -41,7 +42,8 @@ multiplicities: sorting and the parity swap commute with adding m to
 every part.  The rows are read once, at import, so each length's view
 from label to tuple and class key is additions alone; the checks, the
 labels and ``enumerate``'s labels read that view and the census forms,
-and build no class object.
+and build no class object.  T4 also compares the optimal rows with the
+window walk at each length.
 """
 
 from __future__ import annotations
@@ -258,7 +260,7 @@ def representative_atuple(mv: MultVector) -> ATuple:
 # s and 117 MB peak RSS on a 2-vCPU x86-64 machine; ``lcd2 census 150
 # --filter all --format json``, which keeps only 19k runs, takes 0.6-0.85 s
 # and peaks at 19 MB: 0.15 s start-up, 0.03 s walk, the rest writing).  The
-# ``optimal_lcd`` walk is at most 11 partitions and needs no budget.
+# ``optimal_lcd`` census reads at most 6 rows and needs no budget.
 CENSUS_BUDGET = 250_000
 
 
@@ -376,27 +378,29 @@ def _census_enumerated(n: int, filt: str, include_zero_columns: bool) -> list[Eq
 def census_runs(n: int, filter: str = "lcd", include_zero_columns: bool = False):
     """``census(n, filter, include_zero_columns)`` in census order, as non-empty
     runs (m0, p0, p1, p2, xs) of the forms (m0, (p0, p1, p2, x, r - x)), x in
-    ``xs``, r = n - m0 - p0 - p1 - p2.  Raises ``census``'s ValueErrors at the call."""
+    ``xs``, r = n - m0 - p0 - p1 - p2.  ``optimal_lcd`` reads one-form runs
+    from ``_OPTIMAL_ROWS``; ``all`` and ``lcd`` walk.  Raises ``census``'s
+    ValueErrors at the call."""
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     if filter not in VALID_FILTERS:
         raise ValueError(f"filter must be one of {VALID_FILTERS}, got {filter!r}")
     if filter == "optimal_lcd":
-        # The largest part t - d_lo of an optimal form is at least d_lo/4.
-        d_lo = d_hi = dmax(n)
-        m0_last = n - d_lo - (d_lo + 3) // 4 if include_zero_columns else 0
-    else:
-        # C(t+4, 4)/120 over the walked t = n - m0; t = 2..n sums by the
-        # hockey-stick identity.
-        estimate = (math.comb(n + 5, 5) - 6 if include_zero_columns else math.comb(n + 4, 4)) // 120
-        if estimate > CENSUS_BUDGET:
-            raise ValueError(
-                f"census of length {n} would walk about {estimate} partitions, "
-                f"above the budget of {CENSUS_BUDGET}"
-            )
-        d_lo, d_hi = 1, n
-        m0_last = n - 2 if include_zero_columns else 0
-    return _runs(n, m0_last, d_lo, d_hi, filter != "all")
+        m, residue = divmod(n, 5)
+        return [
+            (m0, m + o0, m + o1, m + o2, range(m + ox, m + ox + 1))
+            for m0, o0, o1, o2, ox, m_min in _OPTIMAL_ROWS[residue]
+            if m >= m_min and (include_zero_columns or not m0)
+        ]
+    # C(t+4, 4)/120 over the walked t = n - m0; t = 2..n sums by the
+    # hockey-stick identity.
+    estimate = (math.comb(n + 5, 5) - 6 if include_zero_columns else math.comb(n + 4, 4)) // 120
+    if estimate > CENSUS_BUDGET:
+        raise ValueError(
+            f"census of length {n} would walk about {estimate} partitions, "
+            f"above the budget of {CENSUS_BUDGET}"
+        )
+    return _runs(n, n - 2 if include_zero_columns else 0, 1, n, filter != "all")
 
 
 def _runs(n: int, m0_last: int, d_lo: int, d_hi: int, lcd: bool):
@@ -434,8 +438,8 @@ def census(n: int, filter: str = "lcd", include_zero_columns: bool = False) -> l
     walks the canonical forms directly and computes d, the weight
     enumerator and the LCD test from the multiplicities.  For ``all``
     and ``lcd`` it raises ValueError when its walk estimate exceeds
-    ``CENSUS_BUDGET``; ``optimal_lcd`` walks only the partitions whose
-    largest part is n - m0 - dmax(n), at most 11 at any length.
+    ``CENSUS_BUDGET``; ``optimal_lcd`` shifts the at most 6 forms of
+    ``_OPTIMAL_ROWS`` by m = n div 5, at any length.
     ``_census_enumerated`` rebuilds every code and measures it from its
     codewords, as the cross-checking oracle.
     """
@@ -528,6 +532,44 @@ _CATALOG_ROWS = {
 }
 
 
+def _window_forms(n: int) -> list[tuple[int, tuple[int, ...]]]:
+    """The optimal LCD forms (m0, mp) of length n, zero columns included, in
+    census order, from the d = dmax(n) window walk: the forms
+    ``_OPTIMAL_ROWS`` is read from, and that ``verify`` checks it against."""
+    d = dmax(n)
+    # The largest part t - d of an optimal form is at least d/4.
+    runs = _runs(n, n - d - (d + 3) // 4, d, d, True)
+    return [
+        (m0, (p0, p1, p2, x, n - m0 - p0 - p1 - p2 - x)) for m0, p0, p1, p2, xs in runs for x in xs
+    ]
+
+
+def _optimal_rows(m_ref: int) -> dict[int, tuple[tuple[int, ...], ...]]:
+    """Per residue r, the forms of ``_window_forms(5 m_ref + r)`` in census
+    order, as (m0, o0, o1, o2, ox, m_min): the form's p0, p1, p2 and x less
+    m_ref, and the least m at which its smallest part, p0, is >= 0."""
+    return {
+        residue: tuple(
+            (m0, p0 - m_ref, p1 - m_ref, p2 - m_ref, x - m_ref, max(0, m_ref - p0))
+            for m0, (p0, p1, p2, x, _) in _window_forms(5 * m_ref + residue)
+        )
+        for residue in range(5)
+    }
+
+
+# At n = 5m + r, dmax(n) = 4m + c with c = -1, 0, 1, 2, 2 for r = 0..4.  Write
+# the parts of an optimal form (m0, mp) as m + o_i: the offsets o_i sum to
+# r - m0, and d, the sum of the four smaller parts, is 4m + c, so the largest
+# offset is r - m0 - c <= 2 and the smallest at least (r - m0) - 4(r - m0 - c)
+# >= -4.  Adding 1 to all five parts keeps the sort, the parity swap (five
+# distinct parts stay distinct), d = dmax(n) and ``_lcd_form`` (flipping all
+# five parities keeps it), so a form is optimal at every m whose parts are
+# >= 0, and only there.  The walk at m = 4 thus sees every offset vector, and
+# the optimal census at any length is these rows shifted by m: 2, 2, 1, 1
+# and 6 forms for r = 0..4, one of them (r = 4) with a zero column.
+_OPTIMAL_ROWS = _optimal_rows(4)
+
+
 def _catalog_view(n: int) -> dict[str, tuple[tuple[int, ...], tuple[int, tuple[int, ...]]]]:
     """Label -> (entries (a1, .., a5), class key (a0, canonical mp)) of the
     catalog rows valid at n = 5m + r, in catalog order: m + c and (0, m + K)
@@ -599,7 +641,7 @@ class VerificationReport:
 
 
 def _check_catalog(n: int, view: dict) -> CheckResult:
-    enumerated = {a.entries for a in fam.enumerate_optimal(n)}
+    enumerated = set(fam._optimal_entries(n))
     catalog = {entries for entries, _ in view.values()}
     if enumerated == catalog:
         detail = f"{len(enumerated)} parameter tuples; cube enumeration matches catalog"
@@ -658,9 +700,10 @@ def _check_weight_forms(n: int, view: dict) -> CheckResult:
     return CheckResult("T3", n, True, detail)
 
 
-def _check_classification(n: int, plain: list, zero: list, labels: dict) -> CheckResult:
+def _check_classification(n: int, plain: list, zero: list, walk: list, labels: dict) -> CheckResult:
     """T4 on the class keys (m0, mp) of the optimal census without and with
-    zero columns, labelled by ``labels``."""
+    zero columns, labelled by ``labels``, and of the d = dmax(n) window walk
+    with zero columns, which must equal ``zero``."""
     expected = expected_optimal_class_count(n)
     expected_extra = 1 if n % 5 == 4 else 0
     problems = []
@@ -679,6 +722,12 @@ def _check_classification(n: int, plain: list, zero: list, labels: dict) -> Chec
         problems.append(f"{len(unlabelled)} classes without a catalog label")
     if set(plain) != {key for key in zero if not key[0]}:
         problems.append("zero-column census disagrees on the m0 = 0 classes")
+    if walk != zero:
+        rows_only = sorted(set(zero) - set(walk))
+        walk_only = sorted(set(walk) - set(zero))
+        problems.append(
+            f"optimal rows differ from the window walk: rows only={rows_only} walk only={walk_only}"
+        )
     if problems:
         return CheckResult("T4", n, False, "; ".join(problems))
     return CheckResult(
@@ -747,7 +796,8 @@ def verify_classification(n_max: int) -> VerificationReport:
         checks.append(_check_weight_forms(n, view))
         plain = list(census_forms(n, "optimal_lcd", False))
         zero = list(census_forms(n, "optimal_lcd", True))
-        checks.append(_check_classification(n, plain, zero, _label_map(view)))
+        walk = _window_forms(n)
+        checks.append(_check_classification(n, plain, zero, walk, _label_map(view)))
         headline = _check_headline(n, plain, zero)
         if headline is not None:
             checks.append(headline)

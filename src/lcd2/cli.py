@@ -19,13 +19,11 @@ budget, 141 when the reader closes stdout early.
 
 from __future__ import annotations
 
-import functools
 import json
 import os
 import re
 import sys
 from collections.abc import Iterable
-from itertools import starmap
 from types import SimpleNamespace
 
 from . import classify as cls
@@ -60,26 +58,41 @@ def _csv_field(field: str) -> str:
     return field
 
 
+class _Terms(dict):
+    """Enumerator terms by (w, A_w), each formatted from ``template`` on its
+    first lookup."""
+
+    def __init__(self, template: str):
+        self.template = template
+
+    def __missing__(self, key: tuple[int, int]) -> str:
+        text = self[key] = self.template.format(*key)
+        return text
+
+
 def _emit_classes(n: int, runs: Iterable, labels: dict, fmt: str, header: str):
     """Write the classes of the runs (m0, p0, p1, p2, xs) of ``census_runs``
     to stdout in ``fmt``, labelled by ``labels``: one string per run, and
     each number formatted once.
 
-    A call builds the separators, the label-less label and the term
-    openers; a run its prefix, its representative head (when p1 > 0, the
-    first three ``representative_entries``; the last two are x and r - x),
-    the text around its label, its close and, unless every form merges its
-    terms, the terms of (p2, p1, p0).  A form adds x, r - x, d and its
-    terms 3y^d and 3y^(t - min(x, r - x)), or, where parts coincide,
-    ``_we_terms`` of all five; when p1 = 0, its own
-    ``representative_entries``; and its label, if ``labels`` has one.
+    A call builds the separators, the label-less label, the term openers
+    and a memo of the terms; a run its prefix, its representative head
+    (when p1 > 0, the first three ``representative_entries``; the last two
+    are x and r - x), the text around its label, its close and the terms
+    of (p2, p1, p0), the first, (t - p2, c), kept apart from the rest.  A
+    form adds x, r - x, d and its terms 3y^d and 3y^(t - min(x, r - x))
+    before those; where parts coincide (x = p2 or x = r - x, only in
+    sorted runs) it merges them: 3y^d, (t - p2, c + 3) and the rest for
+    x = p2; 6y^d and all three for x = r - x; (t - p2, c + 6) and the rest
+    for both.  When p1 = 0 a form adds its own ``representative_entries``,
+    and its label, if ``labels`` has one.
     JSON is ``json.dumps(classes, indent=2)`` of the README schema's class
     objects; CSV is what ``csv.writer`` writes; text is the header and one
     line per class.
     """
     out = sys.stdout
     json_fmt, text = fmt == "json", fmt == "text"
-    term = functools.cache((',\n      "{0}": {1}' if json_fmt else "+{1}y^{0}").format)
+    terms = _Terms(',\n      "{0}": {1}' if json_fmt else "+{1}y^{0}")
     # open3 + w + next3 + v + end3 writes the terms 3y^w and 3y^v.
     if json_fmt:
         lead = f'  {{\n    "n": {n},\n    "d": '
@@ -113,10 +126,9 @@ def _emit_classes(n: int, runs: Iterable, labels: dict, fmt: str, header: str):
         else:
             prefix, before, after = f",{m0},{p0} {p1} {p2} ", f",{m0},", ",1"
             close = f",{zero_col}\n"
-        # Only a first form with x = p2 and a last with x = r - x merge their
-        # terms, so a run of those alone needs no tail.
-        if len(xs) > (xs[0] == p2) + (2 * xs[-1] == r):
-            tail = "".join(starmap(term, cls._we_terms(t, (p2, p1, p0))))
+        (w0, c0), *others = cls._we_terms(t, (p2, p1, p0))
+        rest = "".join(map(terms.__getitem__, others))
+        tail = terms[w0, c0] + rest
         if p1:
             a1, a2, a3, _, _ = cls.representative_entries((p0, p1, p2, xs[0], r - xs[0]))
             head = f"{head_open}{a1}{a_sep}{a2}{a_sep}{a3}{a_sep}"
@@ -125,8 +137,10 @@ def _emit_classes(n: int, runs: Iterable, labels: dict, fmt: str, header: str):
             y = r - x
             lo, hi = (x, y) if x < y else (y, x)
             sx, sy, sd = str(x), str(y), str(t - hi)
-            if lo == p2 or lo == hi:
-                we = "".join(starmap(term, cls._we_terms(t, (hi, lo, p2, p1, p0))))
+            if lo == hi:
+                we = terms[w0, c0 + 6] + rest if lo == p2 else terms[t - lo, 6] + tail
+            elif lo == p2:
+                we = f"{open3}{sd}{end3}{terms[w0, c0 + 3]}{rest}"
             else:
                 we = f"{open3}{sd}{next3}{t - lo}{end3}{tail}"
             if p1:
@@ -228,7 +242,7 @@ def cmd_construct(args: SimpleNamespace) -> int:
 
 
 def cmd_enumerate(args: SimpleNamespace) -> int:
-    tuples = fam.enumerate_optimal(args.n)
+    tuples = fam._optimal_entries(args.n)
     d = fam.dmax(args.n)
     labels = {entries: label for label, (entries, _) in cls._catalog_view(args.n).items()}
     if args.format == "json":
@@ -237,21 +251,18 @@ def cmd_enumerate(args: SimpleNamespace) -> int:
                 "n": args.n,
                 "d": d,
                 "count": len(tuples),
-                "tuples": [
-                    {"a": list(a.entries), "label": labels.get(a.entries)} for a in tuples
-                ],
+                "tuples": [{"a": list(a), "label": labels.get(a)} for a in tuples],
             }
         )
     elif args.format == "csv":
         _print_csv(
             ["a1", "a2", "a3", "a4", "a5", "label"],
-            [list(a.entries) + [labels.get(a.entries, "")] for a in tuples],
+            [[*a, labels.get(a, "")] for a in tuples],
         )
     else:
         print(f"n = {args.n}, d = {d}, count = {len(tuples)}")
         for a in tuples:
-            label = labels.get(a.entries, "-")
-            print(f"{','.join(str(x) for x in a.entries)}  {label}")
+            print(f"{','.join(str(x) for x in a)}  {labels.get(a, '-')}")
     return 0
 
 

@@ -16,7 +16,7 @@ b1 = 1, b2 >= 1, b3, b4, b5 >= 0 and a parity rule on b3, b4, b5 and d
 hold.  Then b2 = delta + 1 - (b3 + b4 + b5) for the slack
 delta = 4n - 5d, so the distance-optimal codes lie in the window
 0 <= b3 <= b4, b5 with b3 + b4 + b5 <= delta (at most 6 at d = dmax(n)).
-``enumerate_optimal`` walks that window; ``family_catalog`` is the known
+``_optimal_entries`` walks that window; ``family_catalog`` is the known
 closed-form answer (49 one-parameter families in m = n div 5), kept as
 data so the two can be cross-validated.
 """
@@ -160,13 +160,19 @@ def check_lcd_conditions_b(b: BTuple) -> bool:
 
 
 def enumerate_optimal(n: int) -> list[ATuple]:
-    """All reduced parameter tuples of optimal Hermitian LCD [n, 2] codes.
+    """All reduced parameter tuples of optimal Hermitian LCD [n, 2] codes,
+    in ascending lexicographic order on (a1, .., a5): ``_optimal_entries``
+    as ``ATuple``s."""
+    return [ATuple(*entries) for entries in _optimal_entries(n)]
+
+
+def _optimal_entries(n: int) -> list[tuple[int, int, int, int, int]]:
+    """The entries (a1, .., a5) of ``enumerate_optimal(n)``, sorted.
 
     Walks the window 0 <= b3 <= b4, b5 with b3 + b4 + b5 <= delta (the
     a3 >= a4, a5 normalisation), applies the parity condition for
     d = dmax(n), fixes b1 = 1 and b2 = delta + 1 - (b3 + b4 + b5) >= 1,
-    and keeps tuples whose a-coordinates are nonnegative.  Output is in
-    ascending lexicographic order on (a1, .., a5).
+    and keeps tuples whose a-coordinates are nonnegative.
     """
     d = dmax(n)
     dl = delta(n, d)
@@ -181,8 +187,8 @@ def enumerate_optimal(n: int) -> list[ATuple]:
                 entries = (t - 1, t - b2, t - b3, t - b4, t - b5)
                 if min(entries) < 0:
                     continue
-                out.append(ATuple(*entries))
-    out.sort(key=lambda a: a.entries)
+                out.append(entries)
+    out.sort()
     return out
 
 

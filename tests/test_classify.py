@@ -305,6 +305,32 @@ def test_optimal_window_equals_full_lcd_walk():
         assert [(c.canon.m0, c.canon.mp) for c in window] == full, (n, z)
 
 
+def test_optimal_rows_equal_the_window_walk():
+    lengths = [*range(2, 1001), *(base + r for base in (10**6, 10**9) for r in range(5))]
+    for n in lengths:
+        walk = classify_module._window_forms(n)
+        for z in (False, True):
+            got = []
+            for m0, p0, p1, p2, xs in census_runs(n, "optimal_lcd", z):
+                assert len(xs) == 1, (n, z, m0, p0, p1, p2)
+                got.append((m0, (p0, p1, p2, xs[0], n - m0 - p0 - p1 - p2 - xs[0])))
+            assert got == [form for form in walk if z or not form[0]], (n, z)
+
+
+def test_optimal_rows_hold_the_headline_counts():
+    # 2, 2, 1, 1 and 5 classes for n = 5m + r, r = 0..4, once m is large
+    # enough, plus one zero-column class at r = 4.
+    rows = classify_module._OPTIMAL_ROWS
+    assert {r: len(rows[r]) for r in range(5)} == {0: 2, 1: 2, 2: 1, 3: 1, 4: 6}
+    assert [r for r in range(5) for row in rows[r] if row[0]] == [4]
+    assert [row[0] for row in rows[4]] == [0, 0, 0, 0, 0, 1]
+
+
+def test_optimal_rows_do_not_depend_on_the_reference_length():
+    assert classify_module._optimal_rows(9) == classify_module._OPTIMAL_ROWS
+    assert max(row[5] for rows in classify_module._OPTIMAL_ROWS.values() for row in rows) == 3
+
+
 def test_classify_optimal_at_large_lengths():
     for n in (*range(10**6, 10**6 + 10), *range(10**9, 10**9 + 5)):
         plain = classify_optimal(n)
@@ -483,9 +509,10 @@ def _failures(n_max):
 
 
 def test_verify_reports_a_tuple_missing_from_the_enumeration(monkeypatch):
-    enumerate_optimal = family_module.enumerate_optimal
+    # T1 reads the enumeration's entry tuples, not its ATuples.
+    optimal_entries = family_module._optimal_entries
     monkeypatch.setattr(
-        family_module, "enumerate_optimal", lambda n: enumerate_optimal(n)[1 if n == 9 else 0:]
+        family_module, "_optimal_entries", lambda n: optimal_entries(n)[1 if n == 9 else 0:]
     )
     assert _failures(14) == [("T1", 9, False, "missing=[(2, 0, 2, 1, 2)] extra=[]")]
 
@@ -523,20 +550,52 @@ def test_verify_reports_a_wrong_class_count(monkeypatch):
 
 
 def test_verify_reports_a_missing_optimal_class(monkeypatch):
-    # (2, 3, 4, 5, 5) is the class C_{5m+4,21} at n = 19, the only form of
-    # its optimal run; the LCD stride reads the run's first form alone.
-    def corrupt(p0, p1, p2, r, x):
-        return (p0, p1, p2, x, r - x) != (2, 3, 4, 5, 5) and _lcd_form(p0, p1, p2, r, x)
-
-    monkeypatch.setattr(classify_module, "_lcd_form", corrupt)
-    assert _failures(20) == [
-        ("T4", 19, False, "4 classes, expected 5; 5 classes with zero columns allowed, expected 6"),
+    # (2, 3, 4, 5, 5) is the class C_{5m+4,21} at n = 19, the row with
+    # offsets (-1, 0, 1, 2, 2) from m and m_min = 1; dropped from the optimal
+    # rows, its class goes missing at n = 9, 14 and 19, and the window walk
+    # still finds it.
+    rows = classify_module._OPTIMAL_ROWS[4]
+    assert rows[3] == (0, -1, 0, 1, 2, 1)
+    monkeypatch.setitem(classify_module._OPTIMAL_ROWS, 4, rows[:3] + rows[4:])
+    expected = []
+    for m, (count, zero) in enumerate(((2, 3), (3, 4), (4, 5)), start=1):
+        missing = (0, (m - 1, m, m + 1, m + 2, m + 2))
+        expected.append(
+            (
+                "T4",
+                5 * m + 4,
+                False,
+                f"{count} classes, expected {count + 1}; {zero} classes with zero columns "
+                f"allowed, expected {zero + 1}; optimal rows differ from the window walk: "
+                f"rows only=[] walk only=[{missing}]",
+            )
+        )
+    expected.append(
         (
             "THM",
             19,
             False,
             "5 classes including zero columns (1 with a zero coordinate), headline count 6 (1)",
-        ),
+        )
+    )
+    assert _failures(20) == expected
+
+
+def test_verify_reports_optimal_rows_the_window_walk_does_not_find(monkeypatch):
+    # The rows are read at import, so an LCD test that drops (2, 3, 4, 5, 5),
+    # the only form of its optimal run at n = 19, reaches only the walk that
+    # T4 compares them with.
+    def corrupt(p0, p1, p2, r, x):
+        return (p0, p1, p2, x, r - x) != (2, 3, 4, 5, 5) and _lcd_form(p0, p1, p2, r, x)
+
+    monkeypatch.setattr(classify_module, "_lcd_form", corrupt)
+    assert _failures(20) == [
+        (
+            "T4",
+            19,
+            False,
+            "optimal rows differ from the window walk: rows only=[(0, (2, 3, 4, 5, 5))] walk only=[]",
+        )
     ]
 
 
