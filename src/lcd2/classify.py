@@ -258,9 +258,10 @@ def representative_atuple(mv: MultVector) -> ATuple:
 # with zero columns.  The budget admits n <= 161, or n <= 78 with zero
 # columns; census(150, "all") walks 213k partitions into 378k classes (1.7
 # s and 117 MB peak RSS on a 2-vCPU x86-64 machine; ``lcd2 census 150
-# --filter all --format json``, which keeps only 19k runs, takes 0.6-0.85 s
-# and peaks at 19 MB: 0.15 s start-up, 0.03 s walk, the rest writing).  The
-# ``optimal_lcd`` census reads at most 6 rows and needs no budget.
+# --filter all --format json``, which keeps only 19k runs, takes 0.68-0.86 s
+# and peaks at 19 MB: 0.15 s start-up, 0.03 s walk and the rest writing,
+# which takes 0.52-0.55 s timed in one process).  The ``optimal_lcd``
+# census reads at most 6 rows and needs no budget.
 CENSUS_BUDGET = 250_000
 
 

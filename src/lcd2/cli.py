@@ -72,20 +72,25 @@ class _Terms(dict):
 
 def _emit_classes(n: int, runs: Iterable, labels: dict, fmt: str, header: str):
     """Write the classes of the runs (m0, p0, p1, p2, xs) of ``census_runs``
-    to stdout in ``fmt``, labelled by ``labels``: one string per run, and
-    each number formatted once.
+    to stdout in ``fmt``, labelled by ``labels``: one string per run, each
+    number formatted once per row.
 
     A call builds the separators, the label-less label, the term openers
-    and a memo of the terms; a run its prefix, its representative head
-    (when p1 > 0, the first three ``representative_entries``; the last two
-    are x and r - x), the text around its label, its close and the terms
-    of (p2, p1, p0), the first, (t - p2, c), kept apart from the rest.  A
-    form adds x, r - x, d and its terms 3y^d and 3y^(t - min(x, r - x))
-    before those; where parts coincide (x = p2 or x = r - x, only in
-    sorted runs) it merges them: 3y^d, (t - p2, c + 3) and the rest for
-    x = p2; 6y^d and all three for x = r - x; (t - p2, c + 6) and the rest
-    for both.  When p1 = 0 a form adds its own ``representative_entries``,
-    and its label, if ``labels`` has one.
+    and a memo of the terms.  A change of m0 builds the text that depends
+    on m0 alone: the opening of the mp list, the text around the label,
+    the close and, when ``labels`` is empty, the label-less middle.  A run
+    builds its prefix, its enumerator tail (the terms of p2 >= p1 >= p0:
+    (t - p2, c0), c0 = 3, 6 or 9 by how many parts equal p2, then the rest)
+    and, when p1 > 0, its representative head; it also decides whether it
+    is sorted (x <= r - x) or mirrored (x > r - x), which fixes lo, the
+    smaller of x and r - x.  A row adds x, r - x and d = t - (r - lo).  A
+    common row (lo > p2, x != r - x, p1 > 0, no labels) is one string with
+    the terms 3y^d and 3y^(t - lo) before the tail.  Other rows build
+    their terms apart, merging coinciding parts (lo = p2 or x = r - x, only
+    in sorted runs): 3y^d, (t - p2, c0 + 3) and the rest for lo = p2;
+    6y^d and the tail for x = r - x; (t - p2, c0 + 6) and the rest for
+    both.  When p1 = 0 a row adds its own ``representative_entries``, and
+    its label, if ``labels`` has one.
     JSON is ``json.dumps(classes, indent=2)`` of the README schema's class
     objects; CSV is what ``csv.writer`` writes; text is the header and one
     line per class.
@@ -108,36 +113,58 @@ def _emit_classes(n: int, runs: Iterable, labels: dict, fmt: str, header: str):
         head_open = " a=" if text else ","
         open3, next3, end3 = "+3y^", "+3y^", ""
     label = none
+    last_m0 = None
     for m0, p0, p1, p2, xs in runs:
-        t = n - m0
-        r = t - p0 - p1 - p2
-        zero_col = "true" if m0 else "false"
-        if json_fmt:
-            prefix = (
-                f',\n    "canonical": {{\n      "m0": {m0},\n      "mp": [\n'
-                f"        {p0},\n        {p1},\n        {p2},\n        "
-            )
-            before = f'\n    ],\n    "a0": {m0},\n    "label": '
-            after = ',\n    "weight_enumerator": {\n      "0": 1'
-            close = f'\n    }},\n    "dual_min_weight_one": {zero_col}\n  }}'
-        elif text:
-            prefix = f"m0={m0} mp={p0},{p1},{p2},"
-            before, after, close = " label=", f" dual_min_weight_one={zero_col} we=1", "\n"
-        else:
-            prefix, before, after = f",{m0},{p0} {p1} {p2} ", f",{m0},", ",1"
-            close = f",{zero_col}\n"
-        (w0, c0), *others = cls._we_terms(t, (p2, p1, p0))
-        rest = "".join(map(terms.__getitem__, others))
+        if m0 != last_m0:
+            last_m0, t = m0, n - m0
+            zero_col = "true" if m0 else "false"
+            if json_fmt:
+                mp_open = f',\n    "canonical": {{\n      "m0": {m0},\n      "mp": [\n        '
+                before = f'\n    ],\n    "a0": {m0},\n    "label": '
+                after = ',\n    "weight_enumerator": {\n      "0": 1'
+                close = f'\n    }},\n    "dual_min_weight_one": {zero_col}\n  }}'
+            elif text:
+                mp_open = f"m0={m0} mp="
+                before, after, close = " label=", f" dual_min_weight_one={zero_col} we=1", "\n"
+            else:
+                mp_open = before = f",{m0},"
+                after, close = ",1", f",{zero_col}\n"
+            middle = before + none + after + open3
+        q = p0 + p1 + p2
+        r = t - q
+        prefix = f"{mp_open}{p0}{mp_sep}{p1}{mp_sep}{p2}{mp_sep}"
+        w0, c0 = t - p2, 3 + 3 * (p1 == p2) + 3 * (p0 == p2)
+        rest = terms[t - p1, 6 if p0 == p1 else 3] if p1 < p2 else ""
+        if p0 < p1:
+            rest += terms[t - p0, 3]
         tail = terms[w0, c0] + rest
+        common = p1 and not labels
         if p1:
-            a1, a2, a3, _, _ = cls.representative_entries((p0, p1, p2, xs[0], r - xs[0]))
+            # representative_entries' rotation, which with at most one zero
+            # part moves (p1, p2) ahead of p0 = 0 and leaves p0 > 0 in place.
+            a1, a2, a3 = (p2 - 1, p1 - 1, 0) if p0 == 0 else (p1 - 1, p0 - 1, p2)
             head = f"{head_open}{a1}{a_sep}{a2}{a_sep}{a3}{a_sep}"
+            end = end3 + tail + close
+        lo_is_x = 2 * xs[0] <= r
         rows = []
         for x in xs:
             y = r - x
-            lo, hi = (x, y) if x < y else (y, x)
-            sx, sy, sd = str(x), str(y), str(t - hi)
-            if lo == hi:
+            lo = x if lo_is_x else y
+            sx, sy, sd = f"{x}", f"{y}", f"{q + lo}"
+            if common and lo != p2 and x != y:
+                if text:
+                    rows.append(
+                        f"{prefix}{sx}{mp_sep}{sy} d={sd}{head}{sx}{a_sep}{sy}"
+                        f"{middle}{sd}{next3}{t - lo}{end}"
+                    )
+                else:
+                    rows.append(
+                        f"{sep}{sd}{prefix}{sx}{mp_sep}{sy}{head}{sx}{a_sep}{sy}"
+                        f"{middle}{sd}{next3}{t - lo}{end}"
+                    )
+                    sep = joiner
+                continue
+            if x == y:
                 we = terms[w0, c0 + 6] + rest if lo == p2 else terms[t - lo, 6] + tail
             elif lo == p2:
                 we = f"{open3}{sd}{end3}{terms[w0, c0 + 3]}{rest}"

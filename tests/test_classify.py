@@ -154,9 +154,11 @@ def test_representative_atuple_depends_only_on_the_class():
 
 
 def test_representative_entries_end_in_the_last_two_parts_when_p1_is_positive():
-    # The census writer takes the first three entries once per run and
-    # appends (x, r - x); that needs this for every canonical form with at
-    # most one zero part, mirrors (last two parts descending) included.
+    # The census writer takes the first three entries from the prefix
+    # (p0, p1, p2), as (p2 - 1, p1 - 1, 0) when p0 = 0 and (p1 - 1, p0 - 1,
+    # p2) otherwise, and appends (x, r - x); that needs this for every
+    # canonical form with at most one zero part, mirrors (last two parts
+    # descending) included.
     heads = {}
     mirrors = 0
     for t in range(21):
@@ -166,6 +168,8 @@ def test_representative_entries_end_in_the_last_two_parts_when_p1_is_positive():
                 continue
             entries = representative_entries(mv.mp)
             assert entries[3:] == mv.mp[3:], mv
+            p0, p1, p2 = mv.mp[:3]
+            assert entries[:3] == ((p2 - 1, p1 - 1, 0) if p0 == 0 else (p1 - 1, p0 - 1, p2)), mv
             assert heads.setdefault(mv.mp[:3], entries[:3]) == entries[:3], mv
             mirrors += mv.mp[3] > mv.mp[4]
     assert mirrors and any(head[0] == 0 for head in heads)
@@ -597,6 +601,28 @@ def test_verify_reports_optimal_rows_the_window_walk_does_not_find(monkeypatch):
             "optimal rows differ from the window walk: rows only=[(0, (2, 3, 4, 5, 5))] walk only=[]",
         )
     ]
+
+
+def test_verify_reports_a_census_without_zero_columns_that_disagrees(monkeypatch):
+    # T4 compares the census without zero columns with the m0 = 0 classes of
+    # the census with them, which guards census_runs' filter of the zero
+    # columns: a dropped form shows as a count problem and the disagreement,
+    # a form repeated in place of another as the disagreement alone.
+    census_forms = classify_module.census_forms
+
+    def corrupt(substitute):
+        def forms(n, filt, zero):
+            found = list(census_forms(n, filt, zero))
+            return found[:-1] + substitute(found) if n == 19 and not zero else found
+
+        return forms
+
+    monkeypatch.setattr(classify_module, "census_forms", corrupt(lambda found: []))
+    assert _failures(20) == [
+        ("T4", 19, False, "4 classes, expected 5; zero-column census disagrees on the m0 = 0 classes")
+    ]
+    monkeypatch.setattr(classify_module, "census_forms", corrupt(lambda found: found[:1]))
+    assert _failures(20) == [("T4", 19, False, "zero-column census disagrees on the m0 = 0 classes")]
 
 
 def test_verify_builds_no_class_objects(monkeypatch):

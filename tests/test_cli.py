@@ -255,21 +255,43 @@ def test_reference_renderings_reach_every_case_the_writer_treats_apart():
     ]
     seen = set()
     for n, filt, zero, labels in walks:
+        last_m0 = None
         for m0, p0, p1, p2, xs in census_runs(n, filt, zero):
+            if last_m0 is not None and m0 != last_m0:
+                seen.add("run whose m0 differs from the previous run's")
+            last_m0 = m0
             r = n - m0 - p0 - p1 - p2
+            seen.add(
+                "prefix p0 = p1 = p2" if p0 == p2
+                else "prefix p1 = p2 > p0" if p1 == p2
+                else "prefix p2 > p1 = p0" if p0 == p1
+                else "prefix with three distinct parts"
+            )
             if 2 * xs[0] > r:
                 seen.add("mirror run")
             if p1 == 0:
                 seen.add(f"p1 = 0 run with {'three' if p2 == 0 else 'two'} zero parts")
+            else:
+                seen.add("head with p0 = 0 < p1" if p0 == 0 else "head with p0 > 0")
             for x in xs:
                 if min(x, r - x) == p2:
                     seen.add("row with lo == p2")
                 if x == r - x:
                     seen.add("row with x == y")
+                elif p1 and not labels and min(x, r - x) != p2:
+                    seen.add("common row")
                 if labels:
                     key = (m0, (p0, p1, p2, x, r - x))
                     seen.add("labelled row" if key in labels else "unlabelled row")
     assert seen == {
+        "run whose m0 differs from the previous run's",
+        "prefix p0 = p1 = p2",
+        "prefix p1 = p2 > p0",
+        "prefix p2 > p1 = p0",
+        "prefix with three distinct parts",
+        "head with p0 = 0 < p1",
+        "head with p0 > 0",
+        "common row",
         "mirror run",
         "row with lo == p2",
         "row with x == y",
@@ -337,13 +359,14 @@ def test_empty_class_list_output(capsys):
     assert capsys.readouterr().out == "[]\n"
 
 
-def test_census_calls_representative_entries_once_per_run_with_p1_positive(capsys, monkeypatch):
+def test_census_calls_representative_entries_once_per_form_of_a_p1_zero_run(capsys, monkeypatch):
     # A run whose prefix has p1 > 0 takes its representative's first three
-    # entries from one call; a run with p1 = 0 calls once per form.
+    # entries from the prefix, with no call; a run with p1 = 0 calls once
+    # per form.
     runs = list(census_runs(30, "all"))
     per_form = [len(xs) for _, _, p1, _, xs in runs if p1 == 0]
     assert per_form and len(per_form) < len(runs)
-    expected = len(runs) - len(per_form) + sum(per_form)
+    assert sum(per_form) == 90
     classes = census(30, "all")
     header = f"n=30 filter=all classes={len(classes)} include_zero_columns=false"
     outputs = {fmt: render_classes(classes, fmt, header) for fmt in FORMATS}
@@ -358,7 +381,7 @@ def test_census_calls_representative_entries_once_per_run_with_p1_positive(capsy
     for fmt, out in outputs.items():
         calls.clear()
         assert run_cli(capsys, "census", "30", "--filter", "all", "--format", fmt) == (0, out, "")
-        assert len(calls) == expected, fmt
+        assert len(calls) == 90 and all(mp[1] == 0 for mp in calls), fmt
 
 
 def test_census_and_classify_build_no_class_objects(capsys, monkeypatch):
