@@ -27,10 +27,7 @@ from collections.abc import Iterable
 from types import SimpleNamespace
 
 from . import classify as cls
-from . import code as codeops
 from . import family as fam
-from .code import LinearCode
-from .linalg import format_matrix, parse_matrix
 
 
 def _print_csv(header: list[str], rows: Iterable[list]) -> None:
@@ -40,10 +37,6 @@ def _print_csv(header: list[str], rows: Iterable[list]) -> None:
 
 def _print_json(obj) -> None:
     print(json.dumps(obj, indent=2))
-
-
-def _we_jsonable(we: codeops.WeightEnumerator) -> dict[str, int]:
-    return {str(w): c for w, c in we.counts}
 
 
 _CLASS_CSV_HEADER = "n,d,m0,mp,representative_a,a0,label,weight_enumerator,dual_min_weight_one\n"
@@ -208,17 +201,17 @@ def cmd_bound(args: SimpleNamespace) -> int:
     return 0
 
 
-# Longest matrix text ``check`` reads: a code the codeword budget admits
-# has at most that many entries, each at most 3 characters ("w2,").
-_TEXT_BUDGET = 4 * codeops.CODEWORD_BUDGET
-
-
 def cmd_check(args: SimpleNamespace) -> int:
-    text = sys.stdin.read(_TEXT_BUDGET + 1) if args.matrix == "-" else args.matrix
-    if len(text) > _TEXT_BUDGET:
-        raise ValueError(f"matrix text longer than the budget of {_TEXT_BUDGET} characters")
-    gen = parse_matrix(text)
-    code = LinearCode(gen)
+    from . import code as codeops, linalg
+
+    # Longest matrix text read: a code the codeword budget admits has at
+    # most that many entries, each at most 3 characters ("w2,").
+    budget = 4 * codeops.CODEWORD_BUDGET
+    text = sys.stdin.read(budget + 1) if args.matrix == "-" else args.matrix
+    if len(text) > budget:
+        raise ValueError(f"matrix text longer than the budget of {budget} characters")
+    gen = linalg.parse_matrix(text)
+    code = codeops.LinearCode(gen)
     # One codeword walk and one Gram matrix: d is the enumerator's least
     # positive weight, and the code is LCD iff its hull is trivial.
     we = codeops.weight_enumerator(code)
@@ -233,7 +226,7 @@ def cmd_check(args: SimpleNamespace) -> int:
                 "d": d,
                 "hull_dimension": hull,
                 "hermitian_lcd": lcd,
-                "weight_enumerator": _we_jsonable(we),
+                "weight_enumerator": {str(w): c for w, c in we.counts},
                 "weight_enumerator_poly": we.poly_string(),
             }
         )
@@ -253,9 +246,11 @@ def cmd_check(args: SimpleNamespace) -> int:
 
 
 def cmd_construct(args: SimpleNamespace) -> int:
+    from . import linalg
+
     a = fam.parse_atuple(args.atuple)
     gen = fam.build_generator(a)
-    text = format_matrix(gen)
+    text = linalg.format_matrix(gen)
     if args.format == "json":
         _print_json({"a0": a.a0, "a": list(a.entries), "n": a.n, "matrix": text})
     elif args.format == "csv":
@@ -316,6 +311,8 @@ def cmd_census(args: SimpleNamespace) -> int:
 
 
 def cmd_verify(args: SimpleNamespace) -> int:
+    # classify forwards this name to lcd2.verify, importing it on first use;
+    # bench/host.py traces it under classify's name.
     report = cls.verify_classification(args.n_max)
     if args.format == "json":
         _print_json(report.to_jsonable())

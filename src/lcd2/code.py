@@ -14,15 +14,26 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 
 from . import gf4
+from ._frozen import Frozen, setfield
 from .linalg import Mat, Vec, det, gram, kernel_basis, rank
 
 
-@dataclass(frozen=True)
-class LinearCode:
-    gen: Mat
+class LinearCode(Frozen):
+    __slots__ = ("gen",)
+
+    def __init__(self, gen: Mat) -> None:
+        setfield(self, "gen", gen)
+        self.__post_init__()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.gen == other.gen
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.gen)
 
     def __post_init__(self) -> None:
         if self.gen.nrows > self.gen.ncols:
@@ -39,11 +50,21 @@ class LinearCode:
         return self.gen.nrows
 
 
-@dataclass(frozen=True)
-class WeightEnumerator:
+class WeightEnumerator(Frozen):
     """Codeword counts by Hamming weight, stored as sorted (w, A_w) pairs."""
 
-    counts: tuple[tuple[int, int], ...]
+    __slots__ = ("counts",)
+
+    def __init__(self, counts: tuple[tuple[int, int], ...]) -> None:
+        setfield(self, "counts", counts)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.counts == other.counts
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.counts)
 
     @classmethod
     def from_dict(cls, d: dict[int, int]) -> "WeightEnumerator":

@@ -23,21 +23,28 @@ data so the two can be cross-validated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+# ``lcd2.Mat`` imports ``linalg`` with the first generator built, so that the
+# census and classify commands never load it, and is an attribute lookup
+# after that; an import statement in ``build_generator`` would cost about
+# 1.5 us a call, a fifth of a small generator.
+import lcd2
 
-from .linalg import Mat
+from ._frozen import Frozen, setfield
 
 
-@dataclass(frozen=True)
-class ATuple:
+class ATuple(Frozen):
     """Column multiplicities (a1..a5) of the construction, plus optional a0."""
 
-    a1: int
-    a2: int
-    a3: int
-    a4: int
-    a5: int
-    a0: int = 0
+    __slots__ = ("a1", "a2", "a3", "a4", "a5", "a0")
+
+    def __init__(self, a1: int, a2: int, a3: int, a4: int, a5: int, a0: int = 0) -> None:
+        setfield(self, "a1", a1)
+        setfield(self, "a2", a2)
+        setfield(self, "a3", a3)
+        setfield(self, "a4", a4)
+        setfield(self, "a5", a5)
+        setfield(self, "a0", a0)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if min(self.a1, self.a2, self.a3, self.a4, self.a5, self.a0) < 0:
@@ -52,18 +59,22 @@ class ATuple:
         return 2 + self.a0 + sum(self.entries)
 
 
-@dataclass(frozen=True)
-class BTuple:
+class BTuple(Frozen):
     """Image of an ATuple under b_i = (n - d) - a_i, with its slack delta."""
 
-    b1: int
-    b2: int
-    b3: int
-    b4: int
-    b5: int
-    delta: int
-    n: int
-    d: int
+    __slots__ = ("b1", "b2", "b3", "b4", "b5", "delta", "n", "d")
+
+    def __init__(
+        self, b1: int, b2: int, b3: int, b4: int, b5: int, delta: int, n: int, d: int
+    ) -> None:
+        setfield(self, "b1", b1)
+        setfield(self, "b2", b2)
+        setfield(self, "b3", b3)
+        setfield(self, "b4", b4)
+        setfield(self, "b5", b5)
+        setfield(self, "delta", delta)
+        setfield(self, "n", n)
+        setfield(self, "d", d)
 
     @property
     def entries(self) -> tuple[int, int, int, int, int]:
@@ -81,7 +92,7 @@ def build_generator(a: ATuple) -> Mat:
         raise ValueError(f"length {a.n} exceeds the generator budget of {GENERATOR_BUDGET}")
     top = [1, 0] + [0] * a.a0 + [0] * a.a1 + [1] * a.a2 + [1] * a.a3 + [1] * a.a4 + [1] * a.a5
     bot = [0, 1] + [0] * a.a0 + [1] * a.a1 + [0] * a.a2 + [1] * a.a3 + [2] * a.a4 + [3] * a.a5
-    return Mat((tuple(top), tuple(bot)), len(top))
+    return lcd2.Mat((tuple(top), tuple(bot)), len(top))
 
 
 def dmax(n: int) -> int:
@@ -232,15 +243,19 @@ def move_swap_rows(a: ATuple, d: int) -> ATuple:
     return ATuple(a.a2, a.a1, a.a3, a.a5, a.a4)
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(Frozen):
     """One-parameter family m -> (m + c1, .., m + c5) of optimal tuples."""
 
-    label: str
-    residue: int
-    index: int
-    offsets: tuple[int, int, int, int, int]
-    m_min: int
+    __slots__ = ("label", "residue", "index", "offsets", "m_min")
+
+    def __init__(
+        self, label: str, residue: int, index: int, offsets: tuple[int, ...], m_min: int
+    ) -> None:
+        setfield(self, "label", label)
+        setfield(self, "residue", residue)
+        setfield(self, "index", index)
+        setfield(self, "offsets", offsets)
+        setfield(self, "m_min", m_min)
 
     def tuple_at(self, m: int) -> ATuple | None:
         """Instantiate at m, or None when some multiplicity would go negative."""

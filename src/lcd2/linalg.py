@@ -13,20 +13,30 @@ entrywise conjugate of G; ``kernel_basis`` relies on that reduction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, Tuple
+from collections.abc import Iterable, Iterator, Sequence
 
 from . import gf4
+from ._frozen import Frozen, setfield
 
-Vec = Tuple[int, ...]
+Vec = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Mat:
+class Mat(Frozen):
     """Immutable k x n matrix over GF(4), row major."""
 
-    rows: tuple[Vec, ...]
-    ncols: int
+    __slots__ = ("rows", "ncols")
+
+    def __init__(self, rows: tuple[Vec, ...], ncols: int) -> None:
+        setfield(self, "rows", rows)
+        setfield(self, "ncols", ncols)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.rows, self.ncols) == (other.rows, other.ncols)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.rows, self.ncols))
 
     @property
     def nrows(self) -> int:

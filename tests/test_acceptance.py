@@ -13,9 +13,7 @@ from helpers import (
     random_rank2_matrix,
 )
 from lcd2.classify import (
-    EQUIV_CHAINS,
     MultVector,
-    REPRESENTATIVE_WEIGHT_FORMS,
     _lcd_from_mult,
     _min_weight_from_mult,
     are_equivalent,
@@ -26,7 +24,6 @@ from lcd2.classify import (
     induced_point_permutations,
     multvector_of_atuple,
     multvector_to_code,
-    representative_weight_form,
 )
 from lcd2.cli import main
 from lcd2.code import (
@@ -48,6 +45,7 @@ from lcd2.family import (
     family_catalog,
     family_tuples,
 )
+from lcd2.verify import EQUIV_CHAINS, REPRESENTATIVE_WEIGHT_FORMS, representative_weight_form
 
 
 def _report(name: str, ok: bool, detail: str = "") -> None:

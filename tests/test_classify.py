@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 import random
@@ -13,9 +12,9 @@ from helpers import (
 )
 import lcd2.classify as classify_module
 import lcd2.family as family_module
+import lcd2.verify as verify_module
 from lcd2 import gf4
 from lcd2.classify import (
-    EQUIV_CHAINS,
     EquivClass,
     MultVector,
     _catalog_view,
@@ -33,13 +32,11 @@ from lcd2.classify import (
     census_runs,
     classify_optimal,
     code_to_multvector,
-    expected_optimal_class_count,
     induced_point_permutations,
     multvector_of_atuple,
     multvector_to_code,
     representative_atuple,
     representative_entries,
-    verify_classification,
 )
 from lcd2.code import (
     LinearCode,
@@ -51,6 +48,7 @@ from lcd2.code import (
 )
 from lcd2.family import ATuple, build_generator, dmax, family_catalog
 from lcd2.linalg import identity, mat
+from lcd2.verify import EQUIV_CHAINS, expected_optimal_class_count, verify_classification
 
 
 def test_code_to_multvector_examples():
@@ -535,7 +533,7 @@ def test_verify_reports_a_chain_that_splits(monkeypatch):
 
 
 def test_verify_reports_a_wrong_weight_form(monkeypatch):
-    monkeypatch.setitem(classify_module.REPRESENTATIVE_WEIGHT_FORMS, "C_{5m+2,1}", ((1, 6), (2, 10)))
+    monkeypatch.setitem(verify_module.REPRESENTATIVE_WEIGHT_FORMS, "C_{5m+2,1}", ((1, 6), (2, 10)))
     assert _failures(14) == [
         ("T3", n, False, f"C_{{5m+2,1}}: computed 1+6y^{w}+9y^{w + 1} != form 1+6y^{w}+10y^{w + 1}")
         for n, w in ((2, 1), (7, 5), (12, 9))
@@ -544,7 +542,7 @@ def test_verify_reports_a_wrong_weight_form(monkeypatch):
 
 def test_verify_reports_a_wrong_class_count(monkeypatch):
     monkeypatch.setattr(
-        classify_module, "expected_optimal_class_count",
+        verify_module, "expected_optimal_class_count",
         lambda n: expected_optimal_class_count(n) + (n == 12),
     )
     assert _failures(14) == [
@@ -702,7 +700,7 @@ def test_equivclass_is_frozen():
 
 
 def test_equivclass_stores_only_its_canonical_form_and_label():
-    assert [f.name for f in dataclasses.fields(EquivClass)] == ["canon", "label"]
+    assert EquivClass.__slots__ == ("canon", "label")
     cls = EquivClass(MultVector(2, (1, 1, 1, 2, 2)), "x")
     assert (cls.n, cls.d, cls.zero_col) == (9, 5, True)
     assert cls.we == weight_enumerator(multvector_to_code(cls.canon))

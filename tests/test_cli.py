@@ -564,6 +564,42 @@ def test_import_loads_no_numpy_or_process_pool():
     assert result.stdout.strip() == "[]"
 
 
+_STARTUP_MODULES = ["lcd2", "lcd2._frozen", "lcd2.classify", "lcd2.cli", "lcd2.family", "lcd2.gf4"]
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        ([], []),
+        (["bound", "12"], []),
+        (["census", "12", "--filter", "all", "--format", "json"], []),
+        (["classify", "24", "--include-zero-columns", "--format", "csv"], []),
+        (["enumerate", "14"], []),
+        (["construct", "a0=1;1,2,3,4,5"], ["lcd2.linalg"]),
+        (["check", "1,0,1;0,1,w"], ["lcd2.code", "lcd2.linalg"]),
+        (["verify", "--n-max", "7"], ["lcd2.code", "lcd2.linalg", "lcd2.verify"]),
+    ],
+)
+def test_commands_import_only_the_modules_they_use(argv, loaded):
+    # A fresh interpreter without site imports (-S): importing the command
+    # line loads the parser, the census walker and its tables, and no
+    # dataclasses; code, linalg and verify load with the commands using them.
+    src = str(Path(lcd2.__file__).resolve().parents[1])
+    probe = (
+        "import contextlib, io, sys\n"
+        "from lcd2.cli import main\n"
+        "if sys.argv[1:]:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(sys.argv[1:]) == 0\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] in ('lcd2', 'dataclasses'))))"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", probe, *argv], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.split() == sorted(_STARTUP_MODULES + loaded)
+
+
 def test_verify_small(capsys):
     rc, out, _ = run_cli(capsys, "verify", "--n-max", "9", "--format", "json")
     assert rc == 0
