@@ -6,10 +6,7 @@ A subclass lists its fields in ``__slots__``, in the order of its
 equality with instances of the same class alone, a matching hash,
 ``AttributeError`` on assignment and deletion, the repr
 ``Name(field=value, ...)``, and pickling and copying through
-``__init__``.  ``Mat``, ``LinearCode``, ``WeightEnumerator`` and
-``CheckResult``, which ``check`` and ``verify`` build and compare, define
-their own ``__eq__`` and ``__hash__`` over a tuple of their fields, as
-the dataclass did: about twice as fast as the generic lookup here.
+``__init__``.
 """
 
 from __future__ import annotations

@@ -422,14 +422,18 @@ def _runs(n: int, m0_last: int, d_lo: int, d_hi: int, lcd: bool):
             yield (m0, p0, p1, p2, xs)
 
 
+def _forms(n: int, runs):
+    """The runs (m0, p0, p1, p2, xs) of length n expanded to their forms
+    (m0, mp)."""
+    for m0, p0, p1, p2, xs in runs:
+        for x in xs:
+            yield (m0, (p0, p1, p2, x, n - m0 - p0 - p1 - p2 - x))
+
+
 def census_forms(n: int, filter: str = "lcd", include_zero_columns: bool = False):
     """``census_runs`` expanded to the canonical forms (m0, mp), in census
     order.  Raises ``census``'s ValueErrors at the call."""
-    return (
-        (m0, (p0, p1, p2, x, n - m0 - p0 - p1 - p2 - x))
-        for m0, p0, p1, p2, xs in census_runs(n, filter, include_zero_columns)
-        for x in xs
-    )
+    return _forms(n, census_runs(n, filter, include_zero_columns))
 
 
 def census(n: int, filter: str = "lcd", include_zero_columns: bool = False) -> list[EquivClass]:
@@ -481,10 +485,7 @@ def _window_forms(n: int) -> list[tuple[int, tuple[int, ...]]]:
     ``_OPTIMAL_ROWS`` is read from, and that ``verify`` checks it against."""
     d = dmax(n)
     # The largest part t - d of an optimal form is at least d/4.
-    runs = _runs(n, n - d - (d + 3) // 4, d, d, True)
-    return [
-        (m0, (p0, p1, p2, x, n - m0 - p0 - p1 - p2 - x)) for m0, p0, p1, p2, xs in runs for x in xs
-    ]
+    return list(_forms(n, _runs(n, n - d - (d + 3) // 4, d, d, True)))
 
 
 def _optimal_rows(m_ref: int) -> dict[int, tuple[tuple[int, ...], ...]]:

@@ -51,46 +51,41 @@ def _csv_field(field: str) -> str:
     return field
 
 
-class _Terms(dict):
-    """Enumerator terms by (w, A_w), each formatted from ``template`` on its
-    first lookup."""
+class _Memo(dict):
+    """Values by key, each made by ``make(key)`` on its first lookup."""
 
-    def __init__(self, template: str):
-        self.template = template
+    def __init__(self, make):
+        self.make = make
 
-    def __missing__(self, key: tuple[int, int]) -> str:
-        text = self[key] = self.template.format(*key)
-        return text
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
 
 
 def _emit_classes(n: int, runs: Iterable, labels: dict, fmt: str, header: str):
     """Write the classes of the runs (m0, p0, p1, p2, xs) of ``census_runs``
-    to stdout in ``fmt``, labelled by ``labels``: one string per run, each
-    number formatted once per row.
+    to stdout in ``fmt``, labelled by ``labels``: one string per run.
 
-    A call builds the separators, the label-less label, the term openers
-    and a memo of the terms.  A change of m0 builds the text that depends
-    on m0 alone: the opening of the mp list, the text around the label,
-    the close and, when ``labels`` is empty, the label-less middle.  A run
-    builds its prefix, its enumerator tail (the terms of p2 >= p1 >= p0:
+    A call memoises the text of each number and enumerator term it writes.
+    A change of m0 builds the text that depends on m0 alone.  A run builds
+    its prefix, its enumerator tail (the terms of p2 >= p1 >= p0:
     (t - p2, c0), c0 = 3, 6 or 9 by how many parts equal p2, then the rest)
-    and, when p1 > 0, its representative head; it also decides whether it
-    is sorted (x <= r - x) or mirrored (x > r - x), which fixes lo, the
-    smaller of x and r - x.  A row adds x, r - x and d = t - (r - lo).  A
-    common row (lo > p2, x != r - x, p1 > 0, no labels) is one string with
-    the terms 3y^d and 3y^(t - lo) before the tail.  Other rows build
-    their terms apart, merging coinciding parts (lo = p2 or x = r - x, only
-    in sorted runs): 3y^d, (t - p2, c0 + 3) and the rest for lo = p2;
-    6y^d and the tail for x = r - x; (t - p2, c0 + 6) and the rest for
-    both.  When p1 = 0 a row adds its own ``representative_entries``, and
-    its label, if ``labels`` has one.
+    and, when p1 > 0, its representative head; lo, the smaller of x and
+    r - x, is x throughout a sorted run and r - x throughout a mirrored one.
+    A row writes d = t - (r - lo) and its terms, merging coinciding parts:
+    3y^d, 3y^(t - lo) and the tail; 3y^d, (t - p2, c0 + 3) and the rest for
+    lo = p2; 6y^(t - lo) and the tail for x = r - x; (t - p2, c0 + 6) and
+    the rest for both.  When p1 = 0 a row adds its own
+    ``representative_entries``; a row in ``labels`` adds its label.
     JSON is ``json.dumps(classes, indent=2)`` of the README schema's class
     objects; CSV is what ``csv.writer`` writes; text is the header and one
     line per class.
     """
     out = sys.stdout
     json_fmt, text = fmt == "json", fmt == "text"
-    terms = _Terms(',\n      "{0}": {1}' if json_fmt else "+{1}y^{0}")
+    # A term's key is its (w, A_w).
+    template = ',\n      "{0[0]}": {0[1]}' if json_fmt else "+{0[1]}y^{0[0]}"
+    terms, num = _Memo(template.format), _Memo(str)
     # open3 + w + next3 + v + end3 writes the terms 3y^w and 3y^v.
     if json_fmt:
         lead = f'  {{\n    "n": {n},\n    "d": '
@@ -122,7 +117,6 @@ def _emit_classes(n: int, runs: Iterable, labels: dict, fmt: str, header: str):
             else:
                 mp_open = before = f",{m0},"
                 after, close = ",1", f",{zero_col}\n"
-            middle = before + none + after + open3
         q = p0 + p1 + p2
         r = t - q
         prefix = f"{mp_open}{p0}{mp_sep}{p1}{mp_sep}{p2}{mp_sep}"
@@ -131,38 +125,23 @@ def _emit_classes(n: int, runs: Iterable, labels: dict, fmt: str, header: str):
         if p0 < p1:
             rest += terms[t - p0, 3]
         tail = terms[w0, c0] + rest
-        common = p1 and not labels
         if p1:
             # representative_entries' rotation, which with at most one zero
             # part moves (p1, p2) ahead of p0 = 0 and leaves p0 > 0 in place.
             a1, a2, a3 = (p2 - 1, p1 - 1, 0) if p0 == 0 else (p1 - 1, p0 - 1, p2)
             head = f"{head_open}{a1}{a_sep}{a2}{a_sep}{a3}{a_sep}"
-            end = end3 + tail + close
         lo_is_x = 2 * xs[0] <= r
         rows = []
         for x in xs:
             y = r - x
             lo = x if lo_is_x else y
-            sx, sy, sd = f"{x}", f"{y}", f"{q + lo}"
-            if common and lo != p2 and x != y:
-                if text:
-                    rows.append(
-                        f"{prefix}{sx}{mp_sep}{sy} d={sd}{head}{sx}{a_sep}{sy}"
-                        f"{middle}{sd}{next3}{t - lo}{end}"
-                    )
-                else:
-                    rows.append(
-                        f"{sep}{sd}{prefix}{sx}{mp_sep}{sy}{head}{sx}{a_sep}{sy}"
-                        f"{middle}{sd}{next3}{t - lo}{end}"
-                    )
-                    sep = joiner
-                continue
+            sx, sy, sd = num[x], num[y], num[q + lo]
             if x == y:
                 we = terms[w0, c0 + 6] + rest if lo == p2 else terms[t - lo, 6] + tail
             elif lo == p2:
                 we = f"{open3}{sd}{end3}{terms[w0, c0 + 3]}{rest}"
             else:
-                we = f"{open3}{sd}{next3}{t - lo}{end3}{tail}"
+                we = f"{open3}{sd}{next3}{num[t - lo]}{end3}{tail}"
             if p1:
                 a4, a5 = sx, sy
             else:

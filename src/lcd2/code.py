@@ -27,14 +27,6 @@ class LinearCode(Frozen):
         setfield(self, "gen", gen)
         self.__post_init__()
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.gen == other.gen
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.gen)
-
     def __post_init__(self) -> None:
         if self.gen.nrows > self.gen.ncols:
             raise ValueError(f"dimension {self.gen.nrows} exceeds length {self.gen.ncols}")
@@ -57,14 +49,6 @@ class WeightEnumerator(Frozen):
 
     def __init__(self, counts: tuple[tuple[int, int], ...]) -> None:
         setfield(self, "counts", counts)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.counts == other.counts
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.counts)
 
     @classmethod
     def from_dict(cls, d: dict[int, int]) -> "WeightEnumerator":

@@ -30,14 +30,6 @@ class Mat(Frozen):
         setfield(self, "rows", rows)
         setfield(self, "ncols", ncols)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.rows, self.ncols) == (other.rows, other.ncols)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.rows, self.ncols))
-
     @property
     def nrows(self) -> int:
         return len(self.rows)

@@ -92,16 +92,6 @@ class CheckResult(Frozen):
         setfield(self, "passed", passed)
         setfield(self, "detail", detail)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.id, self.n, self.passed, self.detail) == (
-                other.id, other.n, other.passed, other.detail
-            )
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.id, self.n, self.passed, self.detail))
-
 
 class VerificationReport(Frozen):
     __slots__ = ("n_max", "checks")

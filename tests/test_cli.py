@@ -243,7 +243,8 @@ def test_classify_at_huge_lengths_matches_the_reference_rendering(capsys):
 
 def test_reference_renderings_reach_every_case_the_writer_treats_apart():
     # The runs the census and classify reference tests above walk hold each
-    # case _emit_classes writes differently, so their byte-identity reaches
+    # case _emit_classes writes differently (each prefix, head and run shape,
+    # each merge of a row's terms, labels), so their byte-identity reaches
     # every branch of the writer.
     walks = [
         (n, filt, zero, {}) for n in CENSUS_LENGTHS for filt in FILTERS for zero in (False, True)
@@ -278,8 +279,10 @@ def test_reference_renderings_reach_every_case_the_writer_treats_apart():
                     seen.add("row with lo == p2")
                 if x == r - x:
                     seen.add("row with x == y")
-                elif p1 and not labels and min(x, r - x) != p2:
-                    seen.add("common row")
+                    if x == p2:
+                        seen.add("row with x == y == p2")
+                elif min(x, r - x) != p2:
+                    seen.add("row with no merge")
                 if labels:
                     key = (m0, (p0, p1, p2, x, r - x))
                     seen.add("labelled row" if key in labels else "unlabelled row")
@@ -291,10 +294,11 @@ def test_reference_renderings_reach_every_case_the_writer_treats_apart():
         "prefix with three distinct parts",
         "head with p0 = 0 < p1",
         "head with p0 > 0",
-        "common row",
+        "row with no merge",
         "mirror run",
         "row with lo == p2",
         "row with x == y",
+        "row with x == y == p2",
         "p1 = 0 run with two zero parts",
         "p1 = 0 run with three zero parts",
         "labelled row",
