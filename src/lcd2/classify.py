@@ -45,7 +45,6 @@ neither.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 
@@ -177,7 +176,6 @@ def multvector_of_atuple(a: ATuple) -> MultVector:
     return MultVector(a.a0, _atuple_mp(a.entries))
 
 
-@functools.lru_cache(maxsize=1)
 def induced_point_permutations() -> tuple[tuple[int, ...], ...]:
     """Permutations of the 5 points induced by invertible 2 x 2 matrices.
 

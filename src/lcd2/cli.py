@@ -19,23 +19,21 @@ budget, 141 when the reader closes stdout early.
 
 from __future__ import annotations
 
-import json
-import os
-import re
 import sys
-from collections.abc import Iterable
 from types import SimpleNamespace
 
 from . import classify as cls
 from . import family as fam
 
 
-def _print_csv(header: list[str], rows: Iterable[list]) -> None:
+def _print_csv(header: list[str], rows: list[list]) -> None:
     for row in (header, *rows):
         sys.stdout.write(",".join(_csv_field(str(x)) for x in row) + "\n")
 
 
 def _print_json(obj) -> None:
+    import json
+
     print(json.dumps(obj, indent=2))
 
 
@@ -62,7 +60,7 @@ class _Memo(dict):
         return value
 
 
-def _emit_classes(n: int, runs: Iterable, labels: dict, fmt: str, header: str):
+def _emit_classes(n: int, runs: list, labels: dict, fmt: str, header: str):
     """Write the classes of the runs (m0, p0, p1, p2, xs) of ``census_runs``
     to stdout in ``fmt``, labelled by ``labels``: one string per run.
 
@@ -86,18 +84,21 @@ def _emit_classes(n: int, runs: Iterable, labels: dict, fmt: str, header: str):
     # A term's key is its (w, A_w).
     template = ',\n      "{0[0]}": {0[1]}' if json_fmt else "+{0[1]}y^{0[0]}"
     terms, num = _Memo(template.format), _Memo(str)
+    # Every label holds a comma and no quote, backslash or non-ASCII
+    # character, so the literal quotes are what json.dumps and csv.writer write.
+    quote = str if text else '"{}"'.format
     # open3 + w + next3 + v + end3 writes the terms 3y^w and 3y^v.
     if json_fmt:
         lead = f'  {{\n    "n": {n},\n    "d": '
         sep, joiner = "[\n" + lead, ",\n" + lead
-        mp_sep, a_sep, none, quote = ",\n        ", ",\n      ", "null", json.dumps
+        mp_sep, a_sep, none = ",\n        ", ",\n      ", "null"
         head_open = '\n      ]\n    },\n    "representative_a": [\n      '
         open3, next3, end3 = ',\n      "', '": 3,\n      "', '": 3'
     else:
         out.write(header + "\n" if text else _CLASS_CSV_HEADER)
         sep = joiner = f"{n},"  # CSV rows open with n; text rows with their run's prefix
         mp_sep = a_sep = "," if text else " "
-        none, quote = ("-", str) if text else ("", _csv_field)
+        none = "-" if text else ""
         head_open = " a=" if text else ","
         open3, next3, end3 = "+3y^", "+3y^", ""
     label = none
@@ -194,7 +195,7 @@ def cmd_check(args: SimpleNamespace) -> int:
     # One codeword walk and one Gram matrix: d is the enumerator's least
     # positive weight, and the code is LCD iff its hull is trivial.
     we = codeops.weight_enumerator(code)
-    d = we.min_positive_weight() if code.k >= 1 else 0
+    d = we.min_positive_weight()
     hull = codeops.hull_dimension(code)
     lcd = hull == 0
     if args.format == "json":
@@ -243,27 +244,24 @@ def cmd_construct(args: SimpleNamespace) -> int:
 
 
 def cmd_enumerate(args: SimpleNamespace) -> int:
-    tuples = fam._optimal_entries(args.n)
     d = fam.dmax(args.n)
-    labels = {entries: label for label, (entries, _) in cls._catalog_view(args.n).items()}
+    # Each optimal tuple once, labelled; T1 checks it against enumerate_optimal.
+    tuples = sorted((a, label) for label, (a, _) in cls._catalog_view(args.n).items())
     if args.format == "json":
         _print_json(
             {
                 "n": args.n,
                 "d": d,
                 "count": len(tuples),
-                "tuples": [{"a": list(a), "label": labels.get(a)} for a in tuples],
+                "tuples": [{"a": list(a), "label": label} for a, label in tuples],
             }
         )
     elif args.format == "csv":
-        _print_csv(
-            ["a1", "a2", "a3", "a4", "a5", "label"],
-            [[*a, labels.get(a, "")] for a in tuples],
-        )
+        _print_csv(["a1", "a2", "a3", "a4", "a5", "label"], [[*a, label] for a, label in tuples])
     else:
         print(f"n = {args.n}, d = {d}, count = {len(tuples)}")
-        for a in tuples:
-            print(f"{','.join(str(x) for x in a)}  {labels.get(a, '-')}")
+        for a, label in tuples:
+            print(f"{','.join(str(x) for x in a)}  {label}")
     return 0
 
 
@@ -357,7 +355,6 @@ _DESCRIPTION = (
     "Construct, test and exhaustively classify optimal quaternary "
     "Hermitian LCD codes of dimension 2."
 )
-_IS_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$").match
 
 
 def _metavar(flag: str, kind) -> str:
@@ -408,7 +405,9 @@ def _read_arg(arg: str, flags, command: str | None):
         return None
     if arg[1] != "-":
         if arg[:2] != "-h":
-            return None if _IS_NEGATIVE_NUMBER(arg) or " " in arg else (None, None)
+            import re
+
+            return None if re.match(r"-\d+$|-\d*\.\d+$", arg) or " " in arg else (None, None)
         value = arg[3:] if arg[2:3] == "=" else arg[2:]
         return "--help", value if value.strip("h") or arg == "-h=" else None
     name, eq, value = arg.partition("=")
@@ -535,6 +534,8 @@ def run() -> None:
         # The reader is gone (e.g. `| head`).  Point stdout at /dev/null so
         # the flush at interpreter exit stays silent, and exit as a SIGPIPE
         # kill would (128 + 13).
+        import os
+
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         sys.exit(141)
     sys.exit(rc)

@@ -13,8 +13,6 @@ entrywise conjugate of G; ``kernel_basis`` relies on that reduction.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
-
 from . import gf4
 from ._frozen import Frozen, setfield
 
@@ -205,6 +203,4 @@ def parse_matrix(text: str) -> Mat:
     for part in text.strip().split(";"):
         entries = [gf4.parse_element(tok) for tok in part.split(",")]
         rows.append(tuple(entries))
-    if not rows:
-        raise ValueError("empty matrix text")
     return mat(rows)

@@ -33,7 +33,7 @@ from lcd2.classify import (
 )
 from lcd2.cli import _csv_field, _emit_classes, _parse, main
 from lcd2.code import LinearCode
-from lcd2.family import ATuple, build_generator, family_catalog
+from lcd2.family import ATuple, build_generator, dmax, enumerate_optimal, family_catalog
 from lcd2.linalg import format_matrix
 
 
@@ -131,6 +131,36 @@ def test_enumerate_json(capsys):
     assert payload["n"] == 7 and payload["d"] == 5 and payload["count"] == 2
     assert [t["a"] for t in payload["tuples"]] == [[1, 0, 2, 1, 1], [1, 1, 1, 1, 1]]
     assert [t["label"] for t in payload["tuples"]] == ["C_{5m+2,2}", "C_{5m+2,1}"]
+
+
+@pytest.mark.parametrize("n", [*range(2, 81), *range(10**9, 10**9 + 5)])
+def test_enumerate_prints_the_window_walk_with_catalog_labels(capsys, n):
+    # The reference rendering walks the window (enumerate_optimal) and looks
+    # each tuple's label up in the catalog.
+    tuples = [a.entries for a in enumerate_optimal(n)]
+    labels = {a: label for label, (a, _) in classify_module._catalog_view(n).items()}
+    d = dmax(n)
+    expected = {
+        "text": f"n = {n}, d = {d}, count = {len(tuples)}\n"
+        + "".join(f"{','.join(map(str, a))}  {labels[a]}\n" for a in tuples),
+        "json": json.dumps(
+            {
+                "n": n,
+                "d": d,
+                "count": len(tuples),
+                "tuples": [{"a": list(a), "label": labels[a]} for a in tuples],
+            },
+            indent=2,
+        )
+        + "\n",
+    }
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(
+        [["a1", "a2", "a3", "a4", "a5", "label"], *([*a, labels[a]] for a in tuples)]
+    )
+    expected["csv"] = buf.getvalue()
+    for fmt, text in expected.items():
+        assert run_cli(capsys, "enumerate", str(n), "--format", fmt) == (0, text, ""), fmt
 
 
 def test_classify_text_and_counts(capsys):
@@ -569,6 +599,8 @@ def test_import_loads_no_numpy_or_process_pool():
 
 
 _STARTUP_MODULES = ["lcd2", "lcd2._frozen", "lcd2.classify", "lcd2.cli", "lcd2.family", "lcd2.gf4"]
+# json imports re, which imports enum and functools; functools imports collections.
+_JSON = ["collections", "enum", "functools", "json", "re"]
 
 
 @pytest.mark.parametrize(
@@ -580,22 +612,43 @@ _STARTUP_MODULES = ["lcd2", "lcd2._frozen", "lcd2.classify", "lcd2.cli", "lcd2.f
         (["classify", "24", "--include-zero-columns", "--format", "csv"], []),
         (["enumerate", "14"], []),
         (["construct", "a0=1;1,2,3,4,5"], ["lcd2.linalg"]),
-        (["check", "1,0,1;0,1,w"], ["lcd2.code", "lcd2.linalg"]),
-        (["verify", "--n-max", "7"], ["lcd2.code", "lcd2.linalg", "lcd2.verify"]),
+        (["check", "1,0,1;0,1,w"], ["lcd2.code", "lcd2.linalg", "collections"]),
+        (["verify", "--n-max", "7"], ["lcd2.code", "lcd2.linalg", "lcd2.verify", "collections"]),
+        (["bound", "12", "--format", "csv"], []),
+        (["bound", "12", "--format", "json"], _JSON),
+        (["census", "12", "--filter", "all"], []),
+        (["census", "12", "--filter", "all", "--format", "csv"], []),
+        (["classify", "24", "--include-zero-columns"], []),
+        (["classify", "24", "--include-zero-columns", "--format", "json"], []),
+        (["enumerate", "14", "--format", "json"], _JSON),
+        (["construct", "a0=1;1,2,3,4,5", "--format", "json"], ["lcd2.linalg", *_JSON]),
+        (["check", "1,0,1;0,1,w", "--format", "json"], ["lcd2.code", "lcd2.linalg", *_JSON]),
+        (
+            ["verify", "--n-max", "7", "--format", "json"],
+            ["lcd2.code", "lcd2.linalg", "lcd2.verify", *_JSON],
+        ),
     ],
 )
 def test_commands_import_only_the_modules_they_use(argv, loaded):
     # A fresh interpreter without site imports (-S): importing the command
     # line loads the parser, the census walker and its tables, and no
-    # dataclasses; code, linalg and verify load with the commands using them.
+    # dataclasses; code, linalg and verify load with the commands using
+    # them, and the watched standard modules only where a command uses them.
     src = str(Path(lcd2.__file__).resolve().parents[1])
+    watched = (
+        "json", "re", "os", "functools", "collections", "importlib", "enum", "dataclasses", "typing"
+    )
     probe = (
-        "import contextlib, io, sys\n"
+        "import sys\n"
+        "before = set(sys.modules)\n"
         "from lcd2.cli import main\n"
         "if sys.argv[1:]:\n"
-        "    with contextlib.redirect_stdout(io.StringIO()):\n"
-        "        assert main(sys.argv[1:]) == 0\n"
-        "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] in ('lcd2', 'dataclasses'))))"
+        "    sys.stdout = open('/dev/null', 'w')\n"
+        "    assert main(sys.argv[1:]) == 0\n"
+        "    sys.stdout = sys.__stdout__\n"
+        f"watched = {watched!r}\n"
+        "new = set(sys.modules) - before\n"
+        "print(' '.join(sorted(m for m in new if m.split('.')[0] == 'lcd2' or m in watched)))"
     )
     env = dict(os.environ, PYTHONPATH=src)
     result = subprocess.run(

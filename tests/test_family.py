@@ -218,6 +218,9 @@ def test_catalog_structure():
     catalog = family_catalog()
     assert len(catalog) == 49
     assert len({f.label for f in catalog}) == 49
+    # The census writer quotes labels in JSON and CSV with literal quotes.
+    for f in catalog:
+        assert f.label.isascii() and "," in f.label and not {'"', "\\"} & set(f.label), f.label
     per_residue = {r: 0 for r in range(5)}
     for f in catalog:
         per_residue[f.residue] += 1
