@@ -14,7 +14,9 @@ Exit codes: 0 on success and after help, 1 when verification finds a
 failing check, 2 on usage errors (stdout empty; stderr holds a
 ``usage: lcd2 ...`` line and a ``lcd2 ...: error: ...`` line), on parse
 errors and on check, construct, census or verify requests over the work
-budget, 141 when the reader closes stdout early.
+budget, 74 (EX_IOERR) when writing stdout fails (e.g. on a full disk;
+stderr holds one ``error: ...`` line), 141 when the reader closes stdout
+early.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ from . import family as fam
 
 
 def _print_csv(header: list[str], rows: list[list]) -> None:
-    for row in (header, *rows):
-        sys.stdout.write(",".join(_csv_field(str(x)) for x in row) + "\n")
+    lines = (",".join(_csv_field(str(x)) for x in row) + "\n" for row in (header, *rows))
+    sys.stdout.write("".join(lines))
 
 
 def _print_json(obj) -> None:
@@ -291,22 +293,32 @@ def cmd_verify(args: SimpleNamespace) -> int:
     # classify forwards this name to lcd2.verify, importing it on first use;
     # bench/host.py traces it under classify's name.
     report = cls.verify_classification(args.n_max)
+    checks = report.checks
     if args.format == "json":
-        _print_json(report.to_jsonable())
+        # The bytes of json.dumps(report.to_jsonable(), indent=2), from a
+        # template: given an indent, json.dumps runs its pure-Python encoder.
+        # n_max >= 7 gives at least one check, so the list is never empty.
+        from json.encoder import encode_basestring_ascii as quote
+
+        entries = ",\n".join(
+            f'    {{\n      "id": {quote(c.id)},\n      "n": {c.n},\n      "pass": '
+            f'{"true" if c.passed else "false"},\n      "detail": {quote(c.detail)}\n    }}'
+            for c in checks
+        )
+        sys.stdout.write(f'{{\n  "n_max": {report.n_max},\n  "checks": [\n{entries}\n  ]\n}}\n')
     elif args.format == "csv":
         _print_csv(
             ["id", "n", "pass", "detail"],
-            [[c.id, c.n, str(c.passed).lower(), c.detail] for c in report.checks],
+            [[c.id, c.n, str(c.passed).lower(), c.detail] for c in checks],
         )
     else:
-        for c in report.checks:
-            status = "PASS" if c.passed else "FAIL"
-            print(f"{c.id} n={c.n} {status} {c.detail}")
-        failures = report.failures()
-        if failures:
-            print(f"RESULT: FAIL ({len(failures)} of {len(report.checks)} checks failed)")
+        lines = [f"{c.id} n={c.n} {'PASS' if c.passed else 'FAIL'} {c.detail}\n" for c in checks]
+        failed = len(report.failures())
+        if failed:
+            lines.append(f"RESULT: FAIL ({failed} of {len(checks)} checks failed)\n")
         else:
-            print(f"RESULT: PASS ({len(report.checks)} checks)")
+            lines.append(f"RESULT: PASS ({len(checks)} checks)\n")
+        sys.stdout.write("".join(lines))
     return 0 if report.passed else 1
 
 
@@ -526,18 +538,28 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
+def _silence_stdout() -> None:
+    """Point stdout at /dev/null, so that the flush at interpreter exit
+    stays silent."""
+    import os
+
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def run() -> None:
     try:
         rc = main()
         sys.stdout.flush()
     except BrokenPipeError:
-        # The reader is gone (e.g. `| head`).  Point stdout at /dev/null so
-        # the flush at interpreter exit stays silent, and exit as a SIGPIPE
-        # kill would (128 + 13).
-        import os
-
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        # The reader is gone (e.g. `| head`): exit as a SIGPIPE kill would
+        # (128 + 13).
+        _silence_stdout()
         sys.exit(141)
+    except OSError as exc:
+        # Any other write error, e.g. a full disk: one line, and EX_IOERR.
+        _silence_stdout()
+        sys.stderr.write(f"error: {exc}\n")
+        sys.exit(74)
     sys.exit(rc)
 
 

@@ -4,20 +4,19 @@ A ``LinearCode`` wraps a k x n generator matrix of rank k.  The zero
 code is allowed as a 0 x n matrix so that the Hermitian dual is total
 and rank-nullity stays testable.  The weight enumerator walks one word
 per scalar class {v, w*v, w2*v} of nonzero codewords, (4^k - 1)/3 words
-held as two int bit planes in the basis {1, w} of ``gf4``: addition is
-XOR, scaling swaps and XORs the planes, and a weight is the bit count
-of their OR.  The minimum weight is the enumerator's least positive
-weight, so both share this one walk.
+held as the two int bit planes of ``linalg.planes`` in the basis {1, w}
+of ``gf4``: addition is XOR, scaling swaps and XORs the planes, and a
+weight is the bit count of their OR.  The minimum weight is the
+enumerator's least positive weight, so both share this one walk.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 
 from . import gf4
 from ._frozen import Frozen, setfield
-from .linalg import Mat, Vec, det, gram, kernel_basis, rank
+from .linalg import Mat, Vec, det, gram, kernel_basis, planes, rank, scale_planes
 
 
 class LinearCode(Frozen):
@@ -107,12 +106,6 @@ def min_weight(c: LinearCode) -> int:
     return weight_enumerator(c).min_positive_weight()
 
 
-# Each GF(4) element 0..3 is the bit pair (b0, b1) of b0 + b1*w, so a row
-# is two bit planes: its 1-coordinates and its w-coordinates.
-_LO_PLANE = bytes.maketrans(bytes(range(4)), b"0101")
-_HI_PLANE = bytes.maketrans(bytes(range(4)), b"0011")
-
-
 def weight_enumerator(c: LinearCode) -> WeightEnumerator:
     """Codeword counts by weight, from one word per scalar class: row i
     plus each word of the span of the later rows, counted three times.
@@ -125,18 +118,19 @@ def weight_enumerator(c: LinearCode) -> WeightEnumerator:
             f"{words} scalar classes of codewords of length {n} "
             f"exceed the budget of {CODEWORD_BUDGET}"
         )
-    classes: Counter[int] = Counter()
-    los, his = [0], [0]  # the span of the rows after row i, as bit planes
+    tally: dict[int, int] = {}
+    rows = planes(c.gen)
+    span = [(0, 0)]  # the span of the rows after row i, as bit planes
     for i in range(k - 1, -1, -1):
-        row = bytes(c.gen.rows[i])
-        lo, hi = int(row.translate(_LO_PLANE), 2), int(row.translate(_HI_PLANE), 2)
-        classes.update(((lo ^ l) | (hi ^ h)).bit_count() for l, h in zip(los, his))
+        lo, hi = rows[i]
+        for l, h in span:
+            w = ((lo ^ l) | (hi ^ h)).bit_count()
+            tally[w] = tally.get(w, 0) + 3
         if i:
-            lohi = lo ^ hi
-            # 1*row = (lo, hi), w*row = (hi, lo ^ hi), w2*row = (lo ^ hi, lo).
-            los = los + [lo ^ l for l in los] + [hi ^ l for l in los] + [lohi ^ l for l in los]
-            his = his + [hi ^ h for h in his] + [lohi ^ h for h in his] + [lo ^ h for h in his]
-    return WeightEnumerator.from_dict({0: 1, **{w: 3 * a for w, a in classes.items()}})
+            multiples = [scale_planes(s, lo, hi) for s in gf4.NONZERO]
+            span += [(l ^ a, h ^ b) for a, b in multiples for l, h in span]
+    # The rows are independent, so no word of the walk is zero.
+    return WeightEnumerator(((0, 1), *sorted(tally.items())))
 
 
 def hermitian_dual(c: LinearCode) -> LinearCode:
@@ -156,8 +150,7 @@ def is_hermitian_lcd(c: LinearCode) -> bool:
 
 def extend_with_zero(c: LinearCode) -> LinearCode:
     """Append an identically-zero coordinate (length n+1, same k and d)."""
-    rows = tuple(row + (0,) for row in c.gen.rows)
-    return LinearCode(Mat(rows, c.n + 1))
+    return LinearCode(Mat([row + b"\x00" for row in c.gen.rows], c.n + 1))
 
 
 def has_zero_coordinate(c: LinearCode) -> bool:
@@ -165,6 +158,7 @@ def has_zero_coordinate(c: LinearCode) -> bool:
 
     Equivalent to the Hermitian dual having minimum weight 1 when k < n.
     """
-    if c.n == 0:
-        return False
-    return any(all(row[j] == 0 for row in c.gen.rows) for j in range(c.n))
+    used = 0
+    for row in c.gen.rows:
+        used |= int.from_bytes(row, "little")
+    return 0 in used.to_bytes(c.n, "little")

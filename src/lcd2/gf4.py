@@ -55,18 +55,18 @@ def inv(x: int) -> int:
     return INV[x]
 
 
-_SYMBOLS = ("0", "1", "w", "w2")
+SYMBOLS = ("0", "1", "w", "w2")
 
 
 def format_element(x: int) -> str:
     """ASCII symbol of an element: "0", "1", "w" or "w2"."""
-    return _SYMBOLS[x]
+    return SYMBOLS[x]
 
 
 def parse_element(text: str) -> int:
     """Parse "0" | "1" | "w" | "w2" (case-insensitive) into an element."""
     t = text.strip().lower()
     try:
-        return _SYMBOLS.index(t)
+        return SYMBOLS.index(t)
     except ValueError:
         raise ValueError(f"not a GF(4) element: {text!r}") from None

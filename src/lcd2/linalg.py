@@ -1,9 +1,14 @@
 """Dense vectors and matrices over GF(4) with the Hermitian pairing.
 
-Vectors are plain tuples of field elements.  Matrices are immutable
-``Mat`` values holding a tuple of row tuples plus an explicit column
-count (so zero-row matrices keep their width); every operation returns a
-new matrix.
+Vectors are sequences of field elements 0..3.  Matrices are immutable
+``Mat`` values holding a tuple of rows plus an explicit column count (so
+zero-row matrices keep their width); every operation returns a new
+matrix.  A row is ``bytes``, one byte per element, whatever sequence of
+ints it was built from.  Codes are measured on two bit planes per row:
+read as one little-endian int, a row holds element j in bits 8j and
+8j + 1, so masking every eighth bit gives its 1-coordinates (the b0 of
+b0 + b1*w) and, shifted by one, its w-coordinates (b1).  Adding rows is
+XOR on the planes and a weight is a bit count.
 
 The Hermitian inner product of u and v is sum_i u_i * conj(v_i).  It is
 conjugate-symmetric, and a vector x is Hermitian-orthogonal to all rows
@@ -24,18 +29,18 @@ class Mat(Frozen):
 
     __slots__ = ("rows", "ncols")
 
-    def __init__(self, rows: tuple[Vec, ...], ncols: int) -> None:
-        setfield(self, "rows", rows)
+    def __init__(self, rows: Iterable[Sequence[int]], ncols: int) -> None:
+        setfield(self, "rows", tuple(map(bytes, rows)))
         setfield(self, "ncols", ncols)
 
     @property
     def nrows(self) -> int:
         return len(self.rows)
 
-    def __getitem__(self, i: int) -> Vec:
+    def __getitem__(self, i: int) -> bytes:
         return self.rows[i]
 
-    def __iter__(self) -> Iterator[Vec]:
+    def __iter__(self) -> Iterator[bytes]:
         return iter(self.rows)
 
     def column(self, j: int) -> Vec:
@@ -46,6 +51,9 @@ class Mat(Frozen):
 
     def __str__(self) -> str:
         return format_matrix(self)
+
+    def __repr__(self) -> str:
+        return f"Mat(rows={tuple(map(tuple, self.rows))!r}, ncols={self.ncols!r})"
 
 
 def mat(rows: Iterable[Sequence[int]], ncols: int | None = None) -> Mat:
@@ -72,7 +80,17 @@ def mat(rows: Iterable[Sequence[int]], ncols: int | None = None) -> Mat:
 
 
 def identity(k: int) -> Mat:
-    return Mat(tuple(tuple(1 if i == j else 0 for j in range(k)) for i in range(k)), k)
+    return Mat([b"\x00" * i + b"\x01" + b"\x00" * (k - 1 - i) for i in range(k)], k)
+
+
+def planes(m: Mat) -> list[tuple[int, int]]:
+    """The bit planes (1-coordinates, w-coordinates) of each row of m."""
+    mask = int.from_bytes(b"\x01" * m.ncols, "little")
+    out = []
+    for row in m.rows:
+        x = int.from_bytes(row, "little")
+        out.append((x & mask, x >> 1 & mask))
+    return out
 
 
 def hermitian_inner(u: Vec, v: Vec) -> int:
@@ -85,8 +103,11 @@ def hermitian_inner(u: Vec, v: Vec) -> int:
     return acc
 
 
+_CONJ = bytes.maketrans(b"\x02\x03", b"\x03\x02")
+
+
 def conj_entries(m: Mat) -> Mat:
-    return Mat(tuple(tuple(gf4.CONJ[e] for e in row) for row in m.rows), m.ncols)
+    return Mat([row.translate(_CONJ) for row in m.rows], m.ncols)
 
 
 def conj_transpose(m: Mat) -> Mat:
@@ -98,59 +119,77 @@ def conj_transpose(m: Mat) -> Mat:
 
 
 def gram(m: Mat) -> Mat:
-    """Hermitian Gram matrix G * conj(G)^T (k x k)."""
-    k = m.nrows
+    """Hermitian Gram matrix G * conj(G)^T (k x k), from the bit planes.
+
+    With u = u0 + u1*w and conj(v) = (v0 ^ v1) + v1*w, the product
+    u*conj(v) has 1-part u0(v0 ^ v1) + u1v1 and w-part u0v1 + u1v0 (using
+    w^2 = w + 1), so each part of an entry is the parity of a bit count.
+    """
+    rows = planes(m)
     return Mat(
-        tuple(
-            tuple(hermitian_inner(m.rows[i], m.rows[j]) for j in range(k))
-            for i in range(k)
-        ),
-        k,
+        [
+            bytes(
+                ((ul & (vl ^ vh) ^ uh & vh).bit_count() & 1)
+                | ((ul & vh ^ uh & vl).bit_count() & 1) << 1
+                for vl, vh in rows
+            )
+            for ul, uh in rows
+        ],
+        m.nrows,
     )
 
 
-def _eliminate(m: Mat) -> tuple[list[list[int]], list[int], int]:
-    """Gauss-Jordan elimination: reduced rows, pivot columns, pivot product.
+def scale_planes(s: int, lo: int, hi: int) -> tuple[int, int]:
+    """The planes of s times the row with planes (lo, hi), s nonzero:
+    w*(b0 + b1*w) is b1 + (b0 + b1)*w, and w2*(b0 + b1*w) is
+    (b0 + b1) + b0*w."""
+    if s == 1:
+        return lo, hi
+    return (hi, lo ^ hi) if s == 2 else (lo ^ hi, lo)
+
+
+def _eliminate(m: Mat) -> tuple[list[tuple[int, int]], list[int], int]:
+    """Gauss-Jordan elimination on the bit planes: reduced rows as planes,
+    pivot columns, pivot product.
 
     Pivots are chosen as the first nonzero entry scanning columns left to
     right, rows top to bottom, so the result is identical on every
     platform.  The product is taken over the pivot values before each is
-    scaled to 1.
+    scaled to 1.  Each step is a few operations per row on whole planes.
     """
-    rows = [list(r) for r in m.rows]
+    rows = planes(m)
     pivots: list[int] = []
     product = 1
-    r = 0
-    for c in range(m.ncols):
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pivot = rows[r][c]
-        product = gf4.MUL[product][pivot]
-        if pivot != 1:
-            scale = gf4.MUL[gf4.INV[pivot]]
-            rows[r] = [scale[e] for e in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                frow = gf4.MUL[f]
-                rows[i] = [e ^ frow[p] for e, p in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
+    for r in range(len(rows)):
+        rest = 0
+        for lo, hi in rows[r:]:
+            rest |= lo | hi
+        if not rest:
             break
+        bit = rest & -rest  # bit 8c of the first column c with a nonzero entry
+        p = r
+        while not (rows[p][0] & bit or rows[p][1] & bit):
+            p += 1
+        lo, hi = rows[p]
+        rows[p] = rows[r]
+        pivot = (1 if lo & bit else 0) | (2 if hi & bit else 0)
+        if pivot != 1:
+            product = gf4.MUL[product][pivot]
+            lo, hi = scale_planes(gf4.INV[pivot], lo, hi)
+        rows[r] = lo, hi
+        for i, (l, h) in enumerate(rows):
+            if (l & bit or h & bit) and i != r:
+                fl, fh = scale_planes((1 if l & bit else 0) | (2 if h & bit else 0), lo, hi)
+                rows[i] = l ^ fl, h ^ fh
+        pivots.append(bit.bit_length() >> 3)
     return rows, pivots, product
 
 
 def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
     """Reduced row echelon form and its pivot columns."""
     rows, pivots, _ = _eliminate(m)
-    return Mat(tuple(tuple(row) for row in rows), m.ncols), tuple(pivots)
+    n = m.ncols
+    return Mat([(lo | hi << 1).to_bytes(n, "little") for lo, hi in rows], n), tuple(pivots)
 
 
 def rank(m: Mat) -> int:
@@ -187,20 +226,34 @@ def kernel_basis(m: Mat) -> Mat:
         x[f] = 1
         for i, p in enumerate(pivots):
             x[p] = reduced.rows[i][f]
-        basis.append(tuple(x))
-    out, _ = rref(Mat(tuple(basis), n))
+        basis.append(x)
+    out, _ = rref(Mat(basis, n))
     return out
 
 
 def format_matrix(m: Mat) -> str:
     """Rows joined by ';', entries by ',': e.g. "1,0,1;0,1,w"."""
-    return ";".join(",".join(gf4.format_element(e) for e in row) for row in m.rows)
+    return ";".join(",".join(map(gf4.SYMBOLS.__getitem__, row)) for row in m.rows)
+
+
+_ELEMENTS = {symbol: e for e, symbol in enumerate(gf4.SYMBOLS)}
 
 
 def parse_matrix(text: str) -> Mat:
-    """Inverse of format_matrix; raises ValueError on malformed input."""
+    """Inverse of format_matrix; raises ValueError on malformed input.
+
+    A row of exact symbols maps through one dict; any other row goes
+    token by token through ``gf4.parse_element``, which also reads upper
+    case and surrounding blanks, and names the token it refuses.
+    """
     rows = []
     for part in text.strip().split(";"):
-        entries = [gf4.parse_element(tok) for tok in part.split(",")]
-        rows.append(tuple(entries))
-    return mat(rows)
+        tokens = part.split(",")
+        try:
+            rows.append(bytes(map(_ELEMENTS.__getitem__, tokens)))
+        except KeyError:
+            rows.append(bytes(map(gf4.parse_element, tokens)))
+    width = len(rows[0])
+    if any(len(row) != width for row in rows):
+        raise ValueError("ragged rows in matrix")
+    return Mat(rows, width)

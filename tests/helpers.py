@@ -22,6 +22,7 @@ from lcd2.classify import EquivClass, _atuple_mp, _canonical_mp, representative_
 from lcd2.code import LinearCode
 from lcd2.family import ATuple, _parity_condition, delta, dmax, family_tuples
 from lcd2.linalg import Mat, mat, rank
+from lcd2.verify import VerificationReport
 
 
 def matmul(a: Mat, b: Mat) -> Mat:
@@ -257,6 +258,30 @@ def render_classes(classes: list[EquivClass], fmt: str, header: str) -> str:
         print(header, file=buf)
         for c in classes:
             print(class_text_line(c), file=buf)
+    return buf.getvalue()
+
+
+def render_report(report: VerificationReport, fmt: str) -> str:
+    """What ``verify`` printed for ``report`` in format ``fmt`` when it went
+    out line by line: ``json.dumps(indent=2)``, ``csv.writer`` rows, or one
+    ``print`` per check and the result line."""
+    buf = io.StringIO()
+    if fmt == "json":
+        print(json.dumps(report.to_jsonable(), indent=2), file=buf)
+    elif fmt == "csv":
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["id", "n", "pass", "detail"])
+        for c in report.checks:
+            writer.writerow([c.id, c.n, str(c.passed).lower(), c.detail])
+    else:
+        for c in report.checks:
+            status = "PASS" if c.passed else "FAIL"
+            print(f"{c.id} n={c.n} {status} {c.detail}", file=buf)
+        failures = report.failures()
+        if failures:
+            print(f"RESULT: FAIL ({len(failures)} of {len(report.checks)} checks failed)", file=buf)
+        else:
+            print(f"RESULT: PASS ({len(report.checks)} checks)", file=buf)
     return buf.getvalue()
 
 

@@ -692,6 +692,31 @@ def test_verify_classification_beyond_the_census_budget():
         verify_classification(2000)
 
 
+def test_t3_builds_and_measures_the_representatives_far_past_the_verify_budget():
+    for n in range(10**4, 10**4 + 5):
+        check = verify_module._check_weight_forms(n, _catalog_view(n))
+        assert (check.id, check.n, check.passed) == ("T3", n, True), check
+        assert not check.detail.startswith("0 "), check
+
+
+def test_representative_weight_forms_shift_into_sorted_enumerators():
+    # representative_weight_form shifts the stored pairs without a sort or a
+    # merge, so each form's offsets must increase, and stay positive from
+    # the least m at which its residue has length n >= 2.
+    residues = {
+        label: r for r, labels in classify_module.CLASS_REPRESENTATIVE_LABELS.items() for label in labels
+    }
+    assert residues.keys() == verify_module.REPRESENTATIVE_WEIGHT_FORMS.keys()
+    for label, pairs in verify_module.REPRESENTATIVE_WEIGHT_FORMS.items():
+        offsets = [offset for offset, _ in pairs]
+        assert offsets == sorted(set(offsets)), label
+        for m in range(1 if residues[label] < 2 else 0, 12):
+            shifted = {0: 1, **{4 * m + offset: count for offset, count in pairs}}
+            assert min(shifted) == 0 and len(shifted) == len(pairs) + 1, (label, m)
+            expected = WeightEnumerator.from_dict(shifted)
+            assert verify_module.representative_weight_form(label, m) == expected, (label, m)
+
+
 def test_equivclass_is_frozen():
     cls = census(7, "optimal_lcd")[0]
     assert isinstance(cls, EquivClass)

@@ -13,6 +13,7 @@ import pytest
 
 import lcd2
 import lcd2.classify as classify_module
+import lcd2.verify as verify_module
 from helpers import (
     brute_hull_dimension,
     brute_min_weight,
@@ -20,6 +21,7 @@ from helpers import (
     parser_mismatches,
     random_full_rank,
     render_classes,
+    render_report,
 )
 from lcd2 import code as codeops
 from lcd2.classify import (
@@ -35,6 +37,7 @@ from lcd2.cli import _csv_field, _emit_classes, _parse, main
 from lcd2.code import LinearCode
 from lcd2.family import ATuple, build_generator, dmax, enumerate_optimal, family_catalog
 from lcd2.linalg import format_matrix
+from lcd2.verify import CheckResult, verify_classification
 
 
 def run_cli(capsys, *argv):
@@ -612,8 +615,8 @@ _JSON = ["collections", "enum", "functools", "json", "re"]
         (["classify", "24", "--include-zero-columns", "--format", "csv"], []),
         (["enumerate", "14"], []),
         (["construct", "a0=1;1,2,3,4,5"], ["lcd2.linalg"]),
-        (["check", "1,0,1;0,1,w"], ["lcd2.code", "lcd2.linalg", "collections"]),
-        (["verify", "--n-max", "7"], ["lcd2.code", "lcd2.linalg", "lcd2.verify", "collections"]),
+        (["check", "1,0,1;0,1,w"], ["lcd2.code", "lcd2.linalg"]),
+        (["verify", "--n-max", "7"], ["lcd2.code", "lcd2.linalg", "lcd2.verify"]),
         (["bound", "12", "--format", "csv"], []),
         (["bound", "12", "--format", "json"], _JSON),
         (["census", "12", "--filter", "all"], []),
@@ -666,6 +669,33 @@ def test_verify_small(capsys):
     rc, out, _ = run_cli(capsys, "verify", "--n-max", "8")
     assert rc == 0
     assert "RESULT: PASS" in out
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_verify_writes_what_the_reference_renderer_prints(capsys, fmt):
+    for n_max in range(7, 41):
+        expected = render_report(verify_classification(n_max), fmt)
+        assert run_cli(capsys, "verify", "--n-max", str(n_max), "--format", fmt) == (0, expected, ""), n_max
+
+
+def test_verify_writes_a_failing_check_as_the_reference_renderer_does(capsys, monkeypatch):
+    # A detail that csv.writer must quote and json.dumps must escape.
+    detail = 'a "quoted" word, a back\\slash,\nan accent \u00e9'
+    check_headline = verify_module._check_headline
+
+    def failing_at_11(n, plain, zero):
+        return CheckResult("THM", n, False, detail) if n == 11 else check_headline(n, plain, zero)
+
+    monkeypatch.setattr(verify_module, "_check_headline", failing_at_11)
+    report = verify_classification(12)
+    assert [(c.id, c.n, c.detail) for c in report.failures()] == [("THM", 11, detail)]
+    out = {}
+    for fmt in ("text", "json", "csv"):
+        rc, out[fmt], err = run_cli(capsys, "verify", "--n-max", "12", "--format", fmt)
+        assert (rc, out[fmt], err) == (1, render_report(report, fmt), ""), fmt
+    assert out["text"].endswith(f"RESULT: FAIL (1 of {len(report.checks)} checks failed)\n")
+    assert [c["detail"] for c in json.loads(out["json"])["checks"] if not c["pass"]] == [detail]
+    assert [row[3] for row in csv.reader(io.StringIO(out["csv"])) if row[2] == "false"] == [detail]
 
 
 def test_usage_errors_exit_2(capsys):
@@ -738,3 +768,17 @@ def test_closed_stdout_exits_141_without_a_traceback():
     proc.stderr.close()
     assert first.startswith(b"n=60 filter=all ")
     assert (proc.wait(timeout=60), err) == (141, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [["bound", "12"], ["verify", "--n-max", "8", "--format", "json"]])
+def test_write_error_exits_74_with_one_line_and_no_traceback(argv):
+    # Every write to /dev/full fails with ENOSPC.
+    src = str(Path(lcd2.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    with open("/dev/full", "w") as full:
+        run = subprocess.run(
+            [sys.executable, "-m", "lcd2.cli", *argv], env=env, stdout=full, stderr=subprocess.PIPE, text=True
+        )
+    assert "Traceback" not in run.stderr
+    assert (run.returncode, run.stderr) == (74, "error: [Errno 28] No space left on device\n")

@@ -3,8 +3,9 @@ import random
 
 import pytest
 
-from helpers import matmul
+from helpers import brute_hull_dimension, matmul, random_full_rank
 from lcd2 import gf4
+from lcd2.code import LinearCode, hull_dimension
 from lcd2.linalg import (
     Mat,
     conj_transpose,
@@ -192,3 +193,105 @@ def test_matrix_text_round_trip():
         parse_matrix("1,0;1")
     with pytest.raises(ValueError):
         parse_matrix("1,x")
+
+
+def test_rows_are_bytes_whatever_sequence_of_ints_builds_them():
+    rows = ((1, 0, 2, 3), (0, 3, 1, 0))
+    built = [
+        Mat(rows, 4),
+        Mat([list(r) for r in rows], 4),
+        Mat([bytes(r) for r in rows], 4),
+        mat(rows),
+        mat([bytearray(r) for r in rows]),
+        parse_matrix("1,0,w,w2;0,w2,1,0"),
+    ]
+    for m in built:
+        assert m == built[0] and hash(m) == hash(built[0])
+        assert repr(m) == "Mat(rows=((1, 0, 2, 3), (0, 3, 1, 0)), ncols=4)"
+        assert all(type(row) is bytes for row in m.rows)
+        assert m[1] == bytes((0, 3, 1, 0)) and m.column(2) == (2, 1)
+    assert Mat([], 4) == Mat((), 4) == mat([], ncols=4)
+    assert repr(Mat([], 4)) == "Mat(rows=(), ncols=4)"
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([[1, 4]], "not a GF(4) element: 4"),
+        ([[-1]], "not a GF(4) element: -1"),
+        ([[256, 0]], "not a GF(4) element: 256"),
+        ([["x"]], "not a GF(4) element: 'x'"),
+        ([[" w3 "]], "not a GF(4) element: ' w3 '"),
+        ([[1, 0], [1]], "ragged rows in matrix"),
+    ],
+)
+def test_mat_refuses_what_it_refused_with_the_same_message(rows, message):
+    with pytest.raises(ValueError) as exc:
+        mat(rows)
+    assert str(exc.value) == message
+
+
+def test_mat_refuses_a_width_other_than_ncols():
+    with pytest.raises(ValueError) as exc:
+        mat([[1, 0]], ncols=3)
+    assert str(exc.value) == "ncols=3 does not match row length 2"
+    with pytest.raises(ValueError) as exc:
+        mat([])
+    assert str(exc.value) == "ncols is required for a matrix with no rows"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1,4", "not a GF(4) element: '4'"),
+        ("-1", "not a GF(4) element: '-1'"),
+        ("256,0", "not a GF(4) element: '256'"),
+        ("x", "not a GF(4) element: 'x'"),
+        (" w3 ", "not a GF(4) element: 'w3'"),
+        ("1, w3 ,0", "not a GF(4) element: ' w3 '"),
+        ("1,,0", "not a GF(4) element: ''"),
+        ("1,0;1", "ragged rows in matrix"),
+        ("1,0;x;1", "not a GF(4) element: 'x'"),
+    ],
+)
+def test_parse_matrix_refuses_what_it_refused_with_the_same_message(text, message):
+    with pytest.raises(ValueError) as exc:
+        parse_matrix(text)
+    assert str(exc.value) == message
+
+
+def test_parse_matrix_reads_upper_case_and_blanks_around_tokens():
+    assert parse_matrix(" W2, w ;1 ,0\n") == mat([[W2, W], [1, 0]])
+
+
+def _with_zero_columns(rng, gen, zeros):
+    """gen with ``zeros`` all-zero columns inserted at random positions."""
+    cols = gen.columns() + [(0,) * gen.nrows] * zeros
+    rng.shuffle(cols)
+    return mat(list(zip(*cols)))
+
+
+def test_plane_gram_and_hull_agree_with_entrywise_products_and_brute_force():
+    # A column takes 8 bits of a plane, so 8 and 9 columns sit on either
+    # side of a 64-bit word, and 63..70 columns span eight or nine.  A code
+    # whose columns come in equal pairs is self-orthogonal (u*conj(u) + the
+    # same is 0 in characteristic 2), so doubling gives hull dimension k.
+    rng = random.Random(31)
+    hulls = set()
+    for k in range(1, 7):
+        for n in (k, 8, 9, 63, 64, 65, 70):
+            if n < k:
+                continue
+            gen = random_full_rank(rng, k, k + rng.randrange((n - k) // 2 + 1))
+            if rng.randrange(3) == 0 and 2 * gen.ncols <= n:
+                gen = mat([row + row for row in gen.rows])
+            gen = _with_zero_columns(rng, gen, n - gen.ncols)
+            g = gram(gen)
+            assert g.ncols == k and g.rows == tuple(
+                bytes(hermitian_inner(u, v) for v in gen.rows) for u in gen.rows
+            ), gen
+            code = LinearCode(gen)
+            hulls.add(hull_dimension(code))
+            assert hull_dimension(code) == k - rank(g)
+            assert hull_dimension(code) == brute_hull_dimension(code), gen
+    assert len(hulls) >= 3
