@@ -55,10 +55,13 @@ from . import gf4
 from ._frozen import Frozen, setfield
 from .family import ATuple, dmax
 
-# Projective points of the line over GF(4), in fixed order.  A column
-# (x, y) is normalised so that its first nonzero entry is 1.
+# Projective points of the line over GF(4), in fixed order, each with
+# its first nonzero entry 1; ``_POINT_OF`` maps every nonzero column
+# (s*x, s*y), s != 0, to the index of its point (x, y).
 POINTS = ((1, 0), (0, 1), (1, 1), (1, 2), (1, 3))
-_POINT_INDEX = {p: i for i, p in enumerate(POINTS)}
+_POINT_OF = {
+    (gf4.MUL[s][x], gf4.MUL[s][y]): i for i, (x, y) in enumerate(POINTS) for s in gf4.NONZERO
+}
 
 VALID_FILTERS = ("all", "lcd", "optimal_lcd")
 
@@ -127,30 +130,12 @@ class EquivClass(Frozen):
         return self.canon.m0 > 0
 
 
-def _normalize_column(col: tuple[int, int]) -> tuple[int, int]:
-    x, y = col
-    if x:
-        s = gf4.INV[x]
-    elif y:
-        s = gf4.INV[y]
-    else:
-        return (0, 0)
-    return (gf4.MUL[s][x], gf4.MUL[s][y])
-
-
 def code_to_multvector(c: LinearCode) -> MultVector:
     """Column type counts of a generator matrix of a dimension-2 code."""
     if c.k != 2:
         raise ValueError(f"multiplicity vectors are defined for k = 2, got k = {c.k}")
-    m0 = 0
-    mp = [0, 0, 0, 0, 0]
-    for j in range(c.n):
-        p = _normalize_column((c.gen.rows[0][j], c.gen.rows[1][j]))
-        if p == (0, 0):
-            m0 += 1
-        else:
-            mp[_POINT_INDEX[p]] += 1
-    return MultVector(m0, tuple(mp))
+    points = [_POINT_OF.get(col) for col in zip(*c.gen.rows)]
+    return MultVector(points.count(None), tuple(map(points.count, range(5))))
 
 
 def multvector_to_code(mv: MultVector) -> LinearCode:
@@ -188,12 +173,8 @@ def induced_point_permutations() -> tuple[tuple[int, ...], ...]:
         if gf4.MUL[a][d] ^ gf4.MUL[b][c] == 0:
             continue
         image = tuple(
-            _POINT_INDEX[
-                _normalize_column(
-                    (gf4.MUL[a][x] ^ gf4.MUL[b][y], gf4.MUL[c][x] ^ gf4.MUL[d][y])
-                )
-            ]
-            for (x, y) in POINTS
+            _POINT_OF[gf4.MUL[a][x] ^ gf4.MUL[b][y], gf4.MUL[c][x] ^ gf4.MUL[d][y]]
+            for x, y in POINTS
         )
         perms.add(image)
     return tuple(sorted(perms))

@@ -1,7 +1,10 @@
 """Command-line front end.
 
 Commands: bound, check, construct, enumerate, classify, census, verify.
-Every command accepts --format {text,json,csv}.  ``_COMMANDS`` is the
+Every command accepts --format {text,json,csv}.  ``_write`` writes a
+command's record (a JSON object, CSV rows, text lines) with one write;
+verify's JSON comes from a template, and census and classify write one
+string per run of classes (``_emit_classes``).  ``_COMMANDS`` is the
 whole grammar: per command its handler, help line, positional and
 options.  Options may come before, between or after the positional, as
 ``--opt value`` or ``--opt=value``, cut to any prefix no other option of
@@ -28,17 +31,6 @@ from . import classify as cls
 from . import family as fam
 
 
-def _print_csv(header: list[str], rows: list[list]) -> None:
-    lines = (",".join(_csv_field(str(x)) for x in row) + "\n" for row in (header, *rows))
-    sys.stdout.write("".join(lines))
-
-
-def _print_json(obj) -> None:
-    import json
-
-    print(json.dumps(obj, indent=2))
-
-
 _CLASS_CSV_HEADER = "n,d,m0,mp,representative_a,a0,label,weight_enumerator,dual_min_weight_one\n"
 
 
@@ -49,6 +41,19 @@ def _csv_field(field: str) -> str:
     if "," in field or '"' in field or "\n" in field:
         return '"' + field.replace('"', '""') + '"'
     return field
+
+
+def _write(fmt: str, obj, header: list, rows: list[list], text: list[str]) -> None:
+    """Write one command's record in ``fmt`` with one write: for JSON
+    ``json.dumps(obj, indent=2)``, for CSV ``header`` and ``rows`` as
+    ``csv.writer`` writes them, for text the ``text`` lines."""
+    if fmt == "json":
+        import json
+
+        text = [json.dumps(obj, indent=2)]
+    elif fmt == "csv":
+        text = [",".join(_csv_field(str(x)) for x in row) for row in (header, *rows)]
+    sys.stdout.write("".join(line + "\n" for line in text))
 
 
 class _Memo(dict):
@@ -172,14 +177,9 @@ def _emit_classes(n: int, runs: list, labels: dict, fmt: str, header: str):
 def cmd_bound(args: SimpleNamespace) -> int:
     d = fam.dmax(args.n)
     delta = fam.delta(args.n, d)
-    if args.format == "json":
-        _print_json({"n": args.n, "d": d, "delta": delta})
-    elif args.format == "csv":
-        _print_csv(["n", "d", "delta"], [[args.n, d, delta]])
-    else:
-        print(f"n = {args.n}")
-        print(f"d_max = {d}")
-        print(f"delta = {delta}")
+    obj = {"n": args.n, "d": d, "delta": delta}
+    lines = [f"n = {args.n}", f"d_max = {d}", f"delta = {delta}"]
+    _write(args.format, obj, list(obj), [list(obj.values())], lines)
     return 0
 
 
@@ -197,33 +197,18 @@ def cmd_check(args: SimpleNamespace) -> int:
     # One codeword walk and one Gram matrix: d is the enumerator's least
     # positive weight, and the code is LCD iff its hull is trivial.
     we = codeops.weight_enumerator(code)
-    d = we.min_positive_weight()
     hull = codeops.hull_dimension(code)
-    lcd = hull == 0
-    if args.format == "json":
-        _print_json(
-            {
-                "n": code.n,
-                "k": code.k,
-                "d": d,
-                "hull_dimension": hull,
-                "hermitian_lcd": lcd,
-                "weight_enumerator": {str(w): c for w, c in we.counts},
-                "weight_enumerator_poly": we.poly_string(),
-            }
-        )
-    elif args.format == "csv":
-        _print_csv(
-            ["n", "k", "d", "hull_dimension", "hermitian_lcd", "weight_enumerator"],
-            [[code.n, code.k, d, hull, str(lcd).lower(), we.poly_string()]],
-        )
-    else:
-        print(f"n = {code.n}")
-        print(f"k = {code.k}")
-        print(f"d = {d}")
-        print(f"hull_dimension = {hull}")
-        print(f"hermitian_lcd = {str(lcd).lower()}")
-        print(f"weight_enumerator = {we.poly_string()}")
+    lcd, poly = hull == 0, we.poly_string()
+    fields = dict(
+        n=code.n, k=code.k, d=we.min_positive_weight(), hull_dimension=hull,
+        hermitian_lcd=str(lcd).lower(), weight_enumerator=poly,
+    )
+    # JSON keeps the fields in order, with a bool and the enumerator's
+    # terms, and adds the polynomial.
+    terms = {str(w): c for w, c in we.counts}
+    obj = dict(fields, hermitian_lcd=lcd, weight_enumerator=terms, weight_enumerator_poly=poly)
+    lines = [f"{name} = {value}" for name, value in fields.items()]
+    _write(args.format, obj, list(fields), [list(fields.values())], lines)
     return 0
 
 
@@ -231,17 +216,10 @@ def cmd_construct(args: SimpleNamespace) -> int:
     from . import linalg
 
     a = fam.parse_atuple(args.atuple)
-    gen = fam.build_generator(a)
-    text = linalg.format_matrix(gen)
-    if args.format == "json":
-        _print_json({"a0": a.a0, "a": list(a.entries), "n": a.n, "matrix": text})
-    elif args.format == "csv":
-        _print_csv(
-            ["a0", "a", "n", "matrix"],
-            [[a.a0, " ".join(str(x) for x in a.entries), a.n, text]],
-        )
-    else:
-        print(text)
+    text = linalg.format_matrix(fam.build_generator(a))
+    obj = {"a0": a.a0, "a": list(a.entries), "n": a.n, "matrix": text}
+    row = [a.a0, " ".join(map(str, a.entries)), a.n, text]
+    _write(args.format, obj, list(obj), [row], [text])
     return 0
 
 
@@ -249,21 +227,12 @@ def cmd_enumerate(args: SimpleNamespace) -> int:
     d = fam.dmax(args.n)
     # Each optimal tuple once, labelled; T1 checks it against enumerate_optimal.
     tuples = sorted((a, label) for label, (a, _) in cls._catalog_view(args.n).items())
-    if args.format == "json":
-        _print_json(
-            {
-                "n": args.n,
-                "d": d,
-                "count": len(tuples),
-                "tuples": [{"a": list(a), "label": label} for a, label in tuples],
-            }
-        )
-    elif args.format == "csv":
-        _print_csv(["a1", "a2", "a3", "a4", "a5", "label"], [[*a, label] for a, label in tuples])
-    else:
-        print(f"n = {args.n}, d = {d}, count = {len(tuples)}")
-        for a, label in tuples:
-            print(f"{','.join(str(x) for x in a)}  {label}")
+    pairs = [{"a": list(a), "label": label} for a, label in tuples]
+    obj = {"n": args.n, "d": d, "count": len(tuples), "tuples": pairs}
+    rows = [[*a, label] for a, label in tuples]
+    lines = [f"n = {args.n}, d = {d}, count = {len(tuples)}"]
+    lines += [f"{','.join(map(str, a))}  {label}" for a, label in tuples]
+    _write(args.format, obj, ["a1", "a2", "a3", "a4", "a5", "label"], rows, lines)
     return 0
 
 
@@ -306,19 +275,15 @@ def cmd_verify(args: SimpleNamespace) -> int:
             for c in checks
         )
         sys.stdout.write(f'{{\n  "n_max": {report.n_max},\n  "checks": [\n{entries}\n  ]\n}}\n')
-    elif args.format == "csv":
-        _print_csv(
-            ["id", "n", "pass", "detail"],
-            [[c.id, c.n, str(c.passed).lower(), c.detail] for c in checks],
-        )
+        return 0 if report.passed else 1
+    rows = [[c.id, c.n, "true" if c.passed else "false", c.detail] for c in checks]
+    lines = [f"{c.id} n={c.n} {'PASS' if c.passed else 'FAIL'} {c.detail}" for c in checks]
+    failed = len(report.failures())
+    if failed:
+        lines.append(f"RESULT: FAIL ({failed} of {len(checks)} checks failed)")
     else:
-        lines = [f"{c.id} n={c.n} {'PASS' if c.passed else 'FAIL'} {c.detail}\n" for c in checks]
-        failed = len(report.failures())
-        if failed:
-            lines.append(f"RESULT: FAIL ({failed} of {len(checks)} checks failed)\n")
-        else:
-            lines.append(f"RESULT: PASS ({len(checks)} checks)\n")
-        sys.stdout.write("".join(lines))
+        lines.append(f"RESULT: PASS ({len(checks)} checks)")
+    _write(args.format, None, ["id", "n", "pass", "detail"], rows, lines)
     return 0 if report.passed else 1
 
 
@@ -482,7 +447,8 @@ def _parse_command(command: str, args: list[str]) -> tuple[SimpleNamespace, list
             extras.append(args[i - 1])
         elif kind is bool:
             if value is not None:
-                _refuse(command, f"argument {flag}: ignored explicit argument {value!r}")
+                name = "-h/--help" if flag == "--help" else flag
+                _refuse(command, f"argument {name}: ignored explicit argument {value!r}")
             if flag == "--help":
                 print(_help(command))
                 raise SystemExit(0)

@@ -77,9 +77,10 @@ class WeightEnumerator(Frozen):
 
 
 # Largest walk ``codewords`` and ``weight_enumerator`` accept, in symbols:
-# 4^k words of length n for the list (k = 8, n = 15 takes 0.75 s), and
-# (4^k - 1)/3 for the enumerator, whose slowest admitted ``lcd2 check``,
-# k = 9, n = 11, takes 0.07 s; both on a 2-vCPU x86-64 machine.
+# 4^k words of length n for the list (k = 8, n = 15 takes 0.6 s), and
+# (4^k - 1)/3 for the enumerator, which adds and counts bit planes, so its
+# time follows the word count: at the budget, k = 9, n = 11 takes 31 ms and
+# k = 2, n = 200,000 takes 2 ms; both on a 2-vCPU x86-64 machine.
 CODEWORD_BUDGET = 1_000_000
 
 

@@ -74,7 +74,7 @@ def mat(rows: Iterable[Sequence[int]], ncols: int | None = None) -> Mat:
         raise ValueError("ncols is required for a matrix with no rows")
     for r in tup:
         for e in r:
-            if e not in (0, 1, 2, 3):
+            if not isinstance(e, int) or e not in (0, 1, 2, 3):
                 raise ValueError(f"not a GF(4) element: {e!r}")
     return Mat(tup, ncols)
 

@@ -404,15 +404,15 @@ def parser_grid() -> list[list[str]]:
 
 
 def parse_outcome(parse, argv: list[str]) -> tuple:
-    """(exit code or None, the namespace's vars or None, stdout) of
+    """(exit code or None, the namespace's vars or None, stdout, stderr) of
     ``parse(argv)``; an exit code means help (0) or a usage error (2)."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             ns = parse(argv)
         except SystemExit as exc:
-            return int(exc.code or 0), None, out.getvalue()
-    return None, vars(ns), out.getvalue()
+            return int(exc.code or 0), None, out.getvalue(), err.getvalue()
+    return None, vars(ns), out.getvalue(), err.getvalue()
 
 
 def parser_mismatches(parse, grid: list[list[str]]) -> list[tuple]:

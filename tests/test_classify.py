@@ -38,6 +38,7 @@ from lcd2.classify import (
     representative_atuple,
     representative_entries,
 )
+from lcd2.cli import main
 from lcd2.code import (
     LinearCode,
     WeightEnumerator,
@@ -621,6 +622,72 @@ def test_verify_reports_a_census_without_zero_columns_that_disagrees(monkeypatch
     ]
     monkeypatch.setattr(classify_module, "census_forms", corrupt(lambda found: found[:1]))
     assert _failures(20) == [("T4", 19, False, "zero-column census disagrees on the m0 = 0 classes")]
+
+
+def _verify_failures(capsys, n_max):
+    """The exit code of ``lcd2 verify --n-max n_max`` and its FAIL and
+    RESULT lines."""
+    rc = main(["verify", "--n-max", str(n_max)])
+    lines = capsys.readouterr().out.splitlines()
+    return rc, [line for line in lines if " FAIL " in line or line.startswith("RESULT")]
+
+
+def test_verify_reports_two_chains_with_one_canonical_form(capsys, monkeypatch):
+    # The first chain of residue 0 listed twice: at n = 5 one class is
+    # expected, so the count is off as well.
+    monkeypatch.setitem(verify_module.EQUIV_CHAINS, 0, EQUIV_CHAINS[0][:1] * 2)
+    assert _verify_failures(capsys, 10) == (
+        1,
+        [
+            "T2 n=5 FAIL two chains share a canonical form; 2 nonempty chains, expected 1",
+            "T2 n=10 FAIL two chains share a canonical form",
+            "RESULT: FAIL (2 of 41 checks failed)",
+        ],
+    )
+
+
+def test_verify_reports_a_repeated_weight_enumerator(capsys, monkeypatch):
+    labels = classify_module.CLASS_REPRESENTATIVE_LABELS
+    monkeypatch.setitem(labels, 2, labels[2] * 2)
+    assert _verify_failures(capsys, 8) == (
+        1,
+        [
+            "T3 n=2 FAIL C_{5m+2,1}: weight enumerator repeats at n=2",
+            "T3 n=7 FAIL C_{5m+2,1}: weight enumerator repeats at n=7",
+            "RESULT: FAIL (2 of 32 checks failed)",
+        ],
+    )
+
+
+def test_verify_reports_a_missing_zero_column_class(capsys, monkeypatch):
+    # The census with zero columns and the window walk agree, but both put
+    # a copy of an m0 = 0 class in place of the zero-column class at n = 9.
+    def corrupt(forms):
+        def patched(n, *args):
+            found = list(forms(n, *args))
+            return [found[0] if key[0] else key for key in found] if n == 9 else found
+
+        return patched
+
+    monkeypatch.setattr(classify_module, "census_forms", corrupt(classify_module.census_forms))
+    monkeypatch.setattr(classify_module, "_window_forms", corrupt(classify_module._window_forms))
+    assert _verify_failures(capsys, 10) == (
+        1,
+        ["T4 n=9 FAIL 0 zero-column classes, expected 1", "RESULT: FAIL (1 of 41 checks failed)"],
+    )
+
+
+def test_verify_reports_a_class_without_a_catalog_label(capsys, monkeypatch):
+    label_map = classify_module._label_map
+
+    def without_length_12(view):
+        return {key: label for key, label in label_map(view).items() if sum(key[1]) != 12}
+
+    monkeypatch.setattr(classify_module, "_label_map", without_length_12)
+    assert _verify_failures(capsys, 14) == (
+        1,
+        ["T4 n=12 FAIL 1 classes without a catalog label", "RESULT: FAIL (1 of 60 checks failed)"],
+    )
 
 
 def test_verify_builds_no_class_objects(monkeypatch):

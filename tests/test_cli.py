@@ -17,9 +17,11 @@ import lcd2.verify as verify_module
 from helpers import (
     brute_hull_dimension,
     brute_min_weight,
+    parse_outcome,
     parser_grid,
     parser_mismatches,
     random_full_rank,
+    reference_parser,
     render_classes,
     render_report,
 )
@@ -33,7 +35,7 @@ from lcd2.classify import (
     classify_optimal,
     code_to_multvector,
 )
-from lcd2.cli import _csv_field, _emit_classes, _parse, main
+from lcd2.cli import _COMMANDS, _csv_field, _emit_classes, _parse, main
 from lcd2.code import LinearCode
 from lcd2.family import ATuple, build_generator, dmax, enumerate_optimal, family_catalog
 from lcd2.linalg import format_matrix
@@ -717,6 +719,18 @@ def test_parser_matches_the_reference_argparse_tree():
     grid = parser_grid()
     assert len(grid) > 2000
     assert parser_mismatches(_parse, grid) == []
+
+
+def test_help_flag_given_a_value_is_refused_as_argparse_refuses_it():
+    # -h=, --help=1, --he=1, ... before or after the command: argparse names
+    # the flag -h/--help.  Only the error line is compared, as argparse wraps
+    # the usage line to the terminal's width.
+    reference = reference_parser().parse_args
+    cases = [argv for argv in parser_grid() if "-h/--help:" in parse_outcome(reference, argv)[3]]
+    assert len(cases) > 70 and any(argv[0] in _COMMANDS for argv in cases)
+    for argv in cases:
+        want, got = parse_outcome(reference, argv), parse_outcome(_parse, argv)
+        assert (got[0], got[3].splitlines()[-1]) == (2, want[3].splitlines()[-1]), argv
 
 
 @pytest.mark.parametrize(

@@ -231,6 +231,17 @@ def test_mat_refuses_what_it_refused_with_the_same_message(rows, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("entry", [1.0, 0.0, 3.0, 1 + 0j])
+def test_mat_refuses_a_non_integer_equal_to_an_element(entry):
+    with pytest.raises(ValueError) as exc:
+        mat([[entry, 0]])
+    assert str(exc.value) == f"not a GF(4) element: {entry!r}"
+
+
+def test_mat_reads_bools_as_0_and_1():
+    assert mat([[True, False], [False, True]]) == identity(2)
+
+
 def test_mat_refuses_a_width_other_than_ncols():
     with pytest.raises(ValueError) as exc:
         mat([[1, 0]], ncols=3)
