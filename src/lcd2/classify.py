@@ -13,34 +13,38 @@ lexicographically minimal image, a complete invariant.
 The group is A5 (60 even permutations), which makes the canonical form
 closed: sort the five multiplicities, and when all five differ and the
 sorting permutation is odd, swap the last two.  ``census_runs`` uses
-this for orderly generation with one walker, ``_sorted_runs``: the
-rank-2 canonical forms of t = n - m0 whose minimum weight t - max(mp)
-lies in a range, in lexicographic order, as runs.  A run is a prefix
-(p0, p1, p2) and a range of x for the forms (p0, p1, p2, x, r - x), with
-r the rest of t: first the sorted partitions, then any mirrors of
-five-distinct ones, the other A5 orbit of each such multiset.  The
-``all`` and ``lcd`` census walk every d >= 1.  The distance-optimal
-census is a table: at n = 5m + r its forms are m plus fixed offsets
-(``_OPTIMAL_ROWS``, read once at import from the d = dmax(n) window walk
-at m = 4), a few additions at any length.  The filters read the
-multiplicities alone: minimum weight is n - m0 - max(mp) (each nonzero
-message class zeroes exactly one point type), and the Gram determinant
-reduces to a parity formula in which only the parity of p2 + x changes
-along a run.  The ``all`` and ``lcd`` walks grow as n^4 (n^5 with zero
-columns) and are capped by ``CENSUS_BUDGET``.  Class objects are built
-only by ``census`` and ``classify_optimal``; the command line renders the
-runs.  An ``EquivClass`` accepts only a rank-2 canonical form.  The
-oracle ``_census_enumerated`` recomputes everything from actual
-codewords and serves as the cross-validating check.
+this for orderly generation with one walker, ``_runs``: the rank-2
+canonical forms of t = n - m0 whose minimum weight t - max(mp) lies in a
+range, in lexicographic order, as runs, cut to the LCD forms on request.
+A run is a prefix (p0, p1, p2) and a range of x for the forms
+(p0, p1, p2, x, r - x), with r the rest of t: first the sorted
+partitions, then any mirrors of five-distinct ones, the other A5 orbit
+of each such multiset.  The ``all`` and ``lcd`` census walk every
+d >= 1.  The distance-optimal census is a table: at n = 5m + r its forms
+are m plus fixed offsets (``_OPTIMAL_ROWS``, read once at import from
+the d = dmax(n) window walk at m = 4), a few additions at any length.
+The filters read the multiplicities alone: minimum weight is
+n - m0 - max(mp) (each nonzero message class zeroes exactly one point
+type), and the Gram determinant reduces to a parity formula in which
+only the parity of p2 + x changes along a run.  The ``all`` and ``lcd``
+walks grow as n^4 (n^5 with zero columns) and are capped by
+``CENSUS_BUDGET``.  Class objects are built only by ``census`` and
+``classify_optimal``; the command line renders the runs.  An
+``EquivClass`` accepts only a rank-2 canonical form.  The oracle
+``_census_enumerated`` recomputes everything from actual codewords and
+serves as the cross-validating check.
 
 The catalog rows (``_CATALOG_ROWS``) are read once, at import, so each
 length's view from label to tuple and class key (``_catalog_view``) is
-additions alone: ``classify`` and ``enumerate`` take their labels from
-it, and ``lcd2.verify`` checks it.  The functions that build or measure
-codes reach ``code`` and ``linalg`` through the package namespace
-(``lcd2.LinearCode``, ``lcd2.Mat``, ...), which imports a module with the
-first name read from it, so that the census and classify commands load
-neither.
+additions alone: ``enumerate`` takes its labels from it, and
+``lcd2.verify`` checks it.  The class labels are a per-residue table too
+(``_LABEL_ROWS``, built at import for each m up to the largest m_min of
+the residue's rows), so ``classify`` and ``verify`` read the labels of a
+length (``_label_map``) by adding m to at most five class keys.  The
+functions that build or measure codes reach ``code`` and ``linalg``
+through the package namespace (``lcd2.LinearCode``, ``lcd2.Mat``, ...),
+which imports a module with the first name read from it, so that the
+census and classify commands load neither.
 """
 
 from __future__ import annotations
@@ -298,31 +302,6 @@ def _we_from_mult(n: int, m0: int, mp: tuple[int, ...]) -> WeightEnumerator:
     return lcd2.WeightEnumerator(((0, 1), *_we_terms(n - m0, parts)))
 
 
-def _sorted_runs(t: int, d_lo: int, d_hi: int):
-    """Rank-2 canonical forms of t with d = t - max part in d_lo..d_hi >= 1,
-    in lexicographic order, as runs (p0, p1, p2, xs) of the forms
-    (p0, p1, p2, x, r - x), x in the range ``xs``, r = t - p0 - p1 - p2.
-
-    d is the sum of the four smaller parts and no part exceeds t - d_lo,
-    which bounds each loop so that no visited prefix (p0, p1, p2) is
-    empty.  Under a prefix come the sorted partitions, x = p3 ascending,
-    then any mirrors (p0, p1, p2, p4, p3) of the five-distinct ones, x = p4
-    ascending: a mirror's fourth entry exceeds every unmirrored one's."""
-    top = t - d_lo
-    for p0 in range(max(0, t - 4 * top), min(t // 5, d_hi // 4) + 1):
-        for p1 in range(max(p0, t - 3 * top - p0), min((t - p0) // 4, (d_hi - p0) // 3) + 1):
-            q1 = p0 + p1
-            for p2 in range(max(p1, t - 2 * top - q1), min((t - q1) // 3, (d_hi - q1) // 2) + 1):
-                q = q1 + p2
-                r = t - q
-                lo, hi = max(p2, d_lo - q), min(r // 2, d_hi - q)
-                yield (p0, p1, p2, range(lo, hi + 1))
-                if p0 < p1 < p2:
-                    mirror = range(r - min(hi, (r - 1) // 2), r - max(lo, p2 + 1) + 1)
-                    if mirror:
-                        yield (p0, p1, p2, mirror)
-
-
 def _iter_compositions(total: int):
     for c1 in range(total + 1):
         for c2 in range(total - c1 + 1):
@@ -386,19 +365,47 @@ def census_runs(n: int, filter: str = "lcd", include_zero_columns: bool = False)
 
 
 def _runs(n: int, m0_last: int, d_lo: int, d_hi: int, lcd: bool):
-    """The runs of m0 = 0..m0_last, cut to their LCD forms if ``lcd``: a run
-    with r odd is kept whole or dropped as ``_lcd_form`` of its first form
-    says, and one with r even is halved, from its first form or second."""
+    """Rank-2 canonical forms (m0, mp) of n, m0 = 0..m0_last, with
+    d = t - max part in d_lo..d_hi >= 1, t = n - m0, LCD only if ``lcd``, in
+    census order, as runs (m0, p0, p1, p2, xs) of the forms
+    (m0, (p0, p1, p2, x, r - x)), x in the range ``xs``, r = t - p0 - p1 - p2.
+
+    d is the sum of the four smaller parts and no part exceeds t - d_lo,
+    which bounds each loop so that no visited prefix (p0, p1, p2) is
+    empty.  Under a prefix come the sorted partitions, x = p3 ascending,
+    then any mirrors (p0, p1, p2, p4, p3) of the five-distinct ones, x = p4
+    ascending: a mirror's fourth entry exceeds every unmirrored one's.
+    ``_lcd_form`` cuts a prefix to its LCD forms: with r odd one call keeps
+    or drops both ranges, and with r even one call per range says whether
+    it starts at its first x or its second, and it takes every other x."""
     for m0 in range(m0_last + 1):
         t = n - m0
-        for p0, p1, p2, xs in _sorted_runs(t, d_lo, d_hi):
-            if lcd:
-                r = t - p0 - p1 - p2
-                keep = _lcd_form(p0, p1, p2, r, xs[0])
-                xs = xs[not keep::2] if r % 2 == 0 else xs if keep else None
-                if not xs:
-                    continue
-            yield (m0, p0, p1, p2, xs)
+        top = t - d_lo
+        for p0 in range(max(0, t - 4 * top), min(t // 5, d_hi // 4) + 1):
+            for p1 in range(max(p0, t - 3 * top - p0), min((t - p0) // 4, (d_hi - p0) // 3) + 1):
+                q1 = p0 + p1
+                for p2 in range(max(p1, t - 2 * top - q1), min((t - q1) // 3, (d_hi - q1) // 2) + 1):
+                    q = q1 + p2
+                    r = t - q
+                    lo, hi = max(p2, d_lo - q), min(r // 2, d_hi - q)
+                    if p0 < p1 < p2:
+                        mirror_lo, mirror_hi = r - min(hi, (r - 1) // 2), r - max(lo, p2 + 1)
+                    else:  # no mirror: an empty range
+                        mirror_lo, mirror_hi = 1, 0
+                    step = 1
+                    if lcd:
+                        if r & 1:
+                            if not _lcd_form(p0, p1, p2, r, lo):
+                                continue
+                        else:
+                            step = 2
+                            lo += not _lcd_form(p0, p1, p2, r, lo)
+                            if mirror_lo <= mirror_hi:
+                                mirror_lo += not _lcd_form(p0, p1, p2, r, mirror_lo)
+                    if lo <= hi:
+                        yield (m0, p0, p1, p2, range(lo, hi + 1, step))
+                    if mirror_lo <= mirror_hi:
+                        yield (m0, p0, p1, p2, range(mirror_lo, mirror_hi + 1, step))
 
 
 def _forms(n: int, runs):
@@ -511,15 +518,40 @@ def _catalog_view(n: int) -> dict[str, tuple[tuple[int, ...], tuple[int, tuple[i
     }
 
 
-def _label_map(view: dict) -> dict[tuple[int, tuple[int, ...]], str]:
-    """Class key -> catalog label for the classes of a ``_catalog_view``: the
-    first designated representative in the class, else its first row."""
+def _label_rows(residue: int, m: int) -> tuple[tuple[tuple[int, ...], str], ...]:
+    """(K, label) for the classes of the catalog rows of ``residue`` valid at
+    m, K the offsets of the class key (0, m + K), labelled by the first
+    designated representative in the class, else its first row in catalog
+    order."""
+    keys = {label: key for label, _, m_min, key in _CATALOG_ROWS[residue] if m >= m_min}
     out = {}
-    # A label names its residue, so only the view's representatives hit.
-    for label in itertools.chain(*CLASS_REPRESENTATIVE_LABELS.values(), view):
-        if label in view:
-            out.setdefault(view[label][1], label)
-    return out
+    # A label names its residue, so only the residue's representatives hit.
+    for label in (*CLASS_REPRESENTATIVE_LABELS[residue], *keys):
+        if label in keys:
+            out.setdefault(keys[label], label)
+    return tuple(out.items())
+
+
+# Per residue, ``_label_rows`` at m = 0, 1, .., up to the rows' largest m_min,
+# from which on every row is valid.
+_LABEL_ROWS = {
+    residue: tuple(_label_rows(residue, m) for m in range(max(row[2] for row in rows) + 1))
+    for residue, rows in _CATALOG_ROWS.items()
+}
+
+
+def _label_map(n: int) -> dict[tuple[int, tuple[int, ...]], str]:
+    """Class key -> catalog label for the catalog classes at n = 5m + r: the
+    first designated representative in the class, else its first row.  Reads
+    ``_LABEL_ROWS[r]`` at the lesser of m and its last index, and adds m."""
+    if n < 2:
+        raise ValueError(f"n must be >= 2, got {n}")
+    m, residue = divmod(n, 5)
+    table = _LABEL_ROWS[residue]
+    return {
+        (0, (m + k1, m + k2, m + k3, m + k4, m + k5)): label
+        for (k1, k2, k3, k4, k5), label in table[min(m, len(table) - 1)]
+    }
 
 
 def classify_optimal(n: int, include_zero_columns: bool = False) -> list[EquivClass]:
@@ -529,7 +561,7 @@ def classify_optimal(n: int, include_zero_columns: bool = False) -> list[EquivCl
     zero-column classes never do (the catalog has no zero columns).
     """
     forms = census_forms(n, "optimal_lcd", include_zero_columns)
-    labels = _label_map(_catalog_view(n))
+    labels = _label_map(n)
     return [EquivClass(MultVector(m0, mp), labels.get((m0, mp))) for m0, mp in forms]
 
 

@@ -250,7 +250,7 @@ def _write_census(args: SimpleNamespace, filt: str, labels: dict, kind: str) -> 
 
 
 def cmd_classify(args: SimpleNamespace) -> int:
-    labels = cls._label_map(cls._catalog_view(args.n))
+    labels = cls._label_map(args.n)
     return _write_census(args, "optimal_lcd", labels, "optimal")
 
 

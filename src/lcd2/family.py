@@ -16,7 +16,10 @@ b1 = 1, b2 >= 1, b3, b4, b5 >= 0 and a parity rule on b3, b4, b5 and d
 hold.  Then b2 = delta + 1 - (b3 + b4 + b5) for the slack
 delta = 4n - 5d, so the distance-optimal codes lie in the window
 0 <= b3 <= b4, b5 with b3 + b4 + b5 <= delta (at most 6 at d = dmax(n)).
-``_optimal_entries`` walks that window; ``family_catalog`` is the known
+The window depends on n only through delta, which fixes the parity of d
+too, so ``_optimal_entries`` reads it from the b-window table
+(``_b_window``: each of the five slacks walked once, its cells in
+tuple order) and shifts it by t = n - d; ``family_catalog`` is the known
 closed-form answer (49 one-parameter families in m = n div 5), kept as
 data so the two can be cross-validated.
 """
@@ -183,27 +186,42 @@ def enumerate_optimal(n: int) -> list[ATuple]:
 def _optimal_entries(n: int) -> list[tuple[int, int, int, int, int]]:
     """The entries (a1, .., a5) of ``enumerate_optimal(n)``, sorted.
 
-    Walks the window 0 <= b3 <= b4, b5 with b3 + b4 + b5 <= delta (the
-    a3 >= a4, a5 normalisation), applies the parity condition for
-    d = dmax(n), fixes b1 = 1 and b2 = delta + 1 - (b3 + b4 + b5) >= 1,
-    and keeps tuples whose a-coordinates are nonnegative.
+    Reads the window rows of ``_b_window`` for delta = 4n - 5d at
+    d = dmax(n) and keeps the tuples whose a-coordinates t - b_i,
+    t = n - d, are nonnegative: the rows whose largest b is at most t.
     """
     d = dmax(n)
-    dl = delta(n, d)
     t = n - d
-    out = []
-    for b3 in range(dl // 3 + 1):
-        for b4 in range(b3, dl - 2 * b3 + 1):
-            for b5 in range(b3, dl - b3 - b4 + 1):
-                if not _parity_condition(b3, b4, b5, d):
-                    continue
-                b2 = dl + 1 - (b3 + b4 + b5)
-                entries = (t - 1, t - b2, t - b3, t - b4, t - b5)
-                if min(entries) < 0:
-                    continue
-                out.append(entries)
-    out.sort()
-    return out
+    return [
+        (t - 1, t - b2, t - b3, t - b4, t - b5)
+        for b2, b3, b4, b5, top in _b_window(delta(n, d), d)
+        if top <= t
+    ]
+
+
+# The rows of ``_b_window`` by slack dl.  4n - 5d = d (mod 2), so dl fixes the
+# parity of d, the only part of d the parity condition reads; at d = dmax(n),
+# dl is 5, 4, 3, 2 or 6 by the residue of n: five keys.
+_B_WINDOW: dict[int, tuple[tuple[int, int, int, int, int], ...]] = {}
+
+
+def _b_window(dl: int, d: int) -> tuple[tuple[int, int, int, int, int], ...]:
+    """The cells 0 <= b3 <= b4, b5 with b3 + b4 + b5 <= dl (the a3 >= a4, a5
+    normalisation) that pass the parity condition for d, as rows
+    (b2, b3, b4, b5, max b) with b2 = dl + 1 - (b3 + b4 + b5) >= 1, in
+    descending order: ascending order of the a_i = t - b_i.  Each slack is
+    walked once, testing each cell once."""
+    rows = _B_WINDOW.get(dl)
+    if rows is None:
+        cells = []
+        for b3 in range(dl // 3 + 1):
+            for b4 in range(b3, dl - 2 * b3 + 1):
+                for b5 in range(b3, dl - b3 - b4 + 1):
+                    if _parity_condition(b3, b4, b5, d):
+                        b2 = dl + 1 - (b3 + b4 + b5)
+                        cells.append((b2, b3, b4, b5, max(b2, b3, b4, b5)))
+        rows = _B_WINDOW[dl] = tuple(sorted(cells, reverse=True))
+    return rows
 
 
 def move_swap345(a: ATuple) -> ATuple:

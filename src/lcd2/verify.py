@@ -9,7 +9,10 @@ multiplicities: sorting and the parity swap commute with adding m to
 every part.  ``classify`` reads the rows once, at import, so each
 length's view from label to tuple and class key is additions alone; the
 checks read that view and the census forms, and build no class object.
-T4 also compares the optimal rows with the window walk at each length.
+T1 compares the view with ``_optimal_entries``, which reads the b-window
+table of ``family``; T4 reads the labels from ``classify``'s per-residue
+label table and compares the optimal rows with a fresh window walk at
+each length.
 The checks reach the census, the catalog view and the rows through the
 ``classify`` and ``family`` modules.
 """
@@ -248,7 +251,8 @@ def _check_headline(n: int, plain: list, zero: list) -> CheckResult | None:
 # computes their weight enumerators in time linear in the length: 11
 # codes per five lengths, so about
 # 11 * n_max * (n_max + 1) / 10 columns in all.  The budget admits
-# n_max <= 1999 (0.4-0.6 s for ``lcd2 verify --n-max 1999`` on a 2-vCPU
+# n_max <= 1999 (``lcd2 verify --n-max 1999 --format csv`` takes 0.39 s at
+# least and 0.59 s in the median of 15 fresh processes on a shared 2-vCPU
 # x86-64 machine); every other check costs the same at each length.
 VERIFY_BUDGET = 4_400_000
 
@@ -280,7 +284,7 @@ def verify_classification(n_max: int) -> VerificationReport:
         plain = list(cls.census_forms(n, "optimal_lcd", False))
         zero = list(cls.census_forms(n, "optimal_lcd", True))
         walk = cls._window_forms(n)
-        checks.append(_check_classification(n, plain, zero, walk, cls._label_map(view)))
+        checks.append(_check_classification(n, plain, zero, walk, cls._label_map(n)))
         headline = _check_headline(n, plain, zero)
         if headline is not None:
             checks.append(headline)

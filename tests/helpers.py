@@ -198,6 +198,18 @@ def catalog_view_reference(n: int) -> dict:
     }
 
 
+def label_map_reference(n: int) -> dict:
+    """``classify._label_map`` by the rule applied to ``catalog_view_reference``:
+    class key -> label, taking the designated representatives first, then
+    the rows in catalog order, and the first label of each class."""
+    view = catalog_view_reference(n)
+    out = {}
+    for label in itertools.chain(*cls.CLASS_REPRESENTATIVE_LABELS.values(), view):
+        if label in view:
+            out.setdefault(view[label][1], label)
+    return out
+
+
 # Reference rendering of class lists: the dicts fed to json.dumps(indent=2),
 # the CSV rows fed to csv.writer, and the text lines printed one by one.
 CLASS_CSV_HEADER = [

@@ -7,6 +7,7 @@ import pytest
 from helpers import (
     catalog_view_reference,
     equivalent_by_search,
+    label_map_reference,
     random_equivalent_image,
     random_rank2_matrix,
 )
@@ -20,11 +21,12 @@ from lcd2.classify import (
     _catalog_view,
     _census_enumerated,
     _iter_compositions,
+    _label_map,
     _lcd_form,
     _lcd_from_mult,
     _min_weight_from_mult,
     _we_from_mult,
-    _sorted_runs,
+    _runs,
     are_equivalent,
     canonical_form,
     census,
@@ -243,13 +245,14 @@ def test_sorted_forms_match_the_sorted_group_minima():
         for d_lo in range(1, t + 1):
             for d_hi in range(d_lo, t + 1):
                 expected = sorted(set().union(*(by_d.get(d, ()) for d in range(d_lo, d_hi + 1))))
-                assert _expand(t, _sorted_runs(t, d_lo, d_hi)) == expected, (t, d_lo, d_hi)
+                assert _expand(t, _runs(t, 0, d_lo, d_hi, False)) == expected, (t, d_lo, d_hi)
 
 
 def _expand(t, runs):
-    """The forms of the runs (p0, p1, p2, xs) of t, each run checked non-empty."""
+    """The forms of the runs (m0, p0, p1, p2, xs) of t, m0 dropped, each run
+    checked non-empty."""
     forms = []
-    for p0, p1, p2, xs in runs:
+    for _, p0, p1, p2, xs in runs:
         assert len(xs) > 0, (t, p0, p1, p2)
         forms += [(p0, p1, p2, x, t - p0 - p1 - p2 - x) for x in xs]
     return forms
@@ -274,7 +277,7 @@ def test_sorted_runs_match_the_group_minima_up_to_t_40():
                             by_d.setdefault(t - p4, set()).add(image)
         for d_lo, d_hi in ((1, t), (1, t // 2), (t // 2, t), (dmax(t), dmax(t))):
             expected = sorted(set().union(*(by_d.get(d, ()) for d in range(d_lo, d_hi + 1))))
-            assert _expand(t, _sorted_runs(t, d_lo, d_hi)) == expected, (t, d_lo, d_hi)
+            assert _expand(t, _runs(t, 0, d_lo, d_hi, False)) == expected, (t, d_lo, d_hi)
 
 
 def test_census_runs_equal_the_filtered_full_walk():
@@ -306,6 +309,15 @@ def test_optimal_window_equals_full_lcd_walk():
         full = [(m0, mp) for m0, mp in census_forms(n, "lcd", z) if n - m0 - max(mp) == d]
         window = census(n, "optimal_lcd", include_zero_columns=z)
         assert [(c.canon.m0, c.canon.mp) for c in window] == full, (n, z)
+
+
+def test_window_walk_equals_the_optimal_forms_of_the_full_lcd_walk():
+    # The walker's d_lo = d_hi path against its d = 1..n path, zero columns
+    # included.
+    for n in range(2, 46):
+        d = dmax(n)
+        full = [(m0, mp) for m0, mp in census_forms(n, "lcd", True) if n - m0 - max(mp) == d]
+        assert classify_module._window_forms(n) == full, n
 
 
 def test_optimal_rows_equal_the_window_walk():
@@ -680,8 +692,8 @@ def test_verify_reports_a_missing_zero_column_class(capsys, monkeypatch):
 def test_verify_reports_a_class_without_a_catalog_label(capsys, monkeypatch):
     label_map = classify_module._label_map
 
-    def without_length_12(view):
-        return {key: label for key, label in label_map(view).items() if sum(key[1]) != 12}
+    def without_length_12(n):
+        return {key: label for key, label in label_map(n).items() if sum(key[1]) != 12}
 
     monkeypatch.setattr(classify_module, "_label_map", without_length_12)
     assert _verify_failures(capsys, 14) == (
@@ -722,6 +734,17 @@ def test_catalog_view_matches_the_catalog_rebuilt_row_by_row():
                 view(n)
             errors.append(str(exc.value))
         assert errors == [f"n must be >= 2, got {n}"] * 2
+
+
+def test_label_map_matches_the_rule_applied_to_the_rebuilt_catalog():
+    # Keys, labels and their order: the table read at n against the first
+    # label per class, designated representatives first, of the row-by-row view.
+    lengths = [*range(2, 3001), *(base + r for base in (10**6, 10**9, 10**20) for r in range(5))]
+    for n in lengths:
+        assert list(_label_map(n).items()) == list(label_map_reference(n).items()), n
+    for n in (-1, 0, 1):
+        with pytest.raises(ValueError, match=f"n must be >= 2, got {n}"):
+            _label_map(n)
 
 
 def test_verify_reports_a_corrupt_catalog_row(monkeypatch):

@@ -285,7 +285,7 @@ def test_reference_renderings_reach_every_case_the_writer_treats_apart():
         (n, filt, zero, {}) for n in CENSUS_LENGTHS for filt in FILTERS for zero in (False, True)
     ]
     walks += [
-        (n, "optimal_lcd", zero, classify_module._label_map(classify_module._catalog_view(n)))
+        (n, "optimal_lcd", zero, classify_module._label_map(n))
         for n in CLASSIFY_LENGTHS
         for zero in (False, True)
     ]

@@ -171,9 +171,14 @@ def test_enumerate_optimal_tests_parity_only_inside_the_delta_window(monkeypatch
 
     monkeypatch.setattr(family_module, "_parity_condition", counted)
     for n, cells in zip(range(30, 40), (27, 18, 11, 6, 39) * 2):
+        monkeypatch.setattr(family_module, "_B_WINDOW", {})
         calls.clear()
         enumerate_optimal(n)
         assert len(calls) == cells, n
+        # The window of a slack is walked once; a repeated call reads it.
+        calls.clear()
+        enumerate_optimal(n)
+        assert not calls, n
 
 
 def test_move_swap345():
