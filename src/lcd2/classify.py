@@ -21,8 +21,7 @@ A run is a prefix (p0, p1, p2) and a range of x for the forms
 partitions, then any mirrors of five-distinct ones, the other A5 orbit
 of each such multiset.  The ``all`` and ``lcd`` census walk every
 d >= 1.  The distance-optimal census is a table: at n = 5m + r its forms
-are m plus fixed offsets (``_OPTIMAL_ROWS``, read once at import from
-the d = dmax(n) window walk at m = 4), a few additions at any length.
+are m plus fixed offsets, a few additions at any length.
 The filters read the multiplicities alone: minimum weight is
 n - m0 - max(mp) (each nonzero message class zeroes exactly one point
 type), and the Gram determinant reduces to a parity formula in which
@@ -34,13 +33,14 @@ walks grow as n^4 (n^5 with zero columns) and are capped by
 ``_census_enumerated`` recomputes everything from actual codewords and
 serves as the cross-validating check.
 
-The catalog rows (``_CATALOG_ROWS``) are read once, at import, so each
-length's view from label to tuple and class key (``_catalog_view``) is
-additions alone: ``enumerate`` takes its labels from it, and
-``lcd2.verify`` checks it.  The class labels are a per-residue table too
-(``_LABEL_ROWS``, built at import for each m up to the largest m_min of
-the residue's rows), so ``classify`` and ``verify`` read the labels of a
-length (``_label_map``) by adding m to at most five class keys.  The
+One per-residue table, ``_TABLES``, built at import, holds for each m
+from 0 to a last index derived from dmax and the catalog the optimal
+forms, the catalog rows valid at m and their class labels, all as
+offsets from m; from the last index on, nothing changes.  One reader,
+``_table_at``, takes the entry of a length, and ``census_runs``, the
+catalog view from label to tuple and class key (``_catalog_view``, which
+``enumerate`` and ``lcd2.verify`` read) and the labels (``_label_map``,
+which ``classify`` and ``verify`` read) add m to it.  The
 functions that build or measure codes reach ``code`` and ``linalg``
 through the package namespace (``lcd2.LinearCode``, ``lcd2.Mat``, ...),
 which imports a module with the first name read from it, so that the
@@ -310,11 +310,12 @@ def _iter_compositions(total: int):
                     yield (c1, c2, c3, c4, total - c1 - c2 - c3 - c4)
 
 
-def _census_enumerated(n: int, filt: str, include_zero_columns: bool) -> list[EquivClass]:
+def _census_enumerated(n: int, include_zero_columns: bool) -> dict[str, list[EquivClass]]:
     """Oracle path: build every code and measure it by codeword enumeration,
-    asserting that d and the enumerator match those its class derives."""
+    asserting that d and the enumerator match those its class derives.  One
+    pass gives the classes of every filter, by filter name."""
     m0_values = range(0, n - 1) if include_zero_columns else (0,)
-    classes: dict[tuple[int, tuple[int, ...]], EquivClass] = {}
+    found: dict[str, dict] = {filt: {} for filt in VALID_FILTERS}
     for m0 in m0_values:
         for mp in _iter_compositions(n - m0):
             mv = MultVector(m0, mp)
@@ -328,30 +329,31 @@ def _census_enumerated(n: int, filt: str, include_zero_columns: bool) -> list[Eq
                 raise AssertionError(
                     f"{mv!r}: measured d={d}, we={we}; derived d={cls.d}, we={cls.we}"
                 )
-            if filt in ("lcd", "optimal_lcd") and not lcd2.is_hermitian_lcd(c):
-                continue
-            if filt == "optimal_lcd" and d != dmax(n):
-                continue
-            classes[(cls.canon.m0, cls.canon.mp)] = cls
-    return [classes[key] for key in sorted(classes)]
+            key = (cls.canon.m0, cls.canon.mp)
+            found["all"][key] = cls
+            if lcd2.is_hermitian_lcd(c):
+                found["lcd"][key] = cls
+                if d == dmax(n):
+                    found["optimal_lcd"][key] = cls
+    return {filt: [classes[key] for key in sorted(classes)] for filt, classes in found.items()}
 
 
 def census_runs(n: int, filter: str = "lcd", include_zero_columns: bool = False):
     """``census(n, filter, include_zero_columns)`` in census order, as non-empty
     runs (m0, p0, p1, p2, xs) of the forms (m0, (p0, p1, p2, x, r - x)), x in
     ``xs``, r = n - m0 - p0 - p1 - p2.  ``optimal_lcd`` reads one-form runs
-    from ``_OPTIMAL_ROWS``; ``all`` and ``lcd`` walk.  Raises ``census``'s
+    from ``_table_at(n)``; ``all`` and ``lcd`` walk.  Raises ``census``'s
     ValueErrors at the call."""
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     if filter not in VALID_FILTERS:
         raise ValueError(f"filter must be one of {VALID_FILTERS}, got {filter!r}")
     if filter == "optimal_lcd":
-        m, residue = divmod(n, 5)
+        m, (forms, _, _) = _table_at(n)
         return [
             (m0, m + o0, m + o1, m + o2, range(m + ox, m + ox + 1))
-            for m0, o0, o1, o2, ox, m_min in _OPTIMAL_ROWS[residue]
-            if m >= m_min and (include_zero_columns or not m0)
+            for m0, o0, o1, o2, ox in forms
+            if include_zero_columns or not m0
         ]
     # C(t+4, 4)/120 over the walked t = n - m0; t = 2..n sums by the
     # hockey-stick identity.
@@ -432,7 +434,7 @@ def census(n: int, filter: str = "lcd", include_zero_columns: bool = False) -> l
     enumerator and the LCD test from the multiplicities.  For ``all``
     and ``lcd`` it raises ValueError when its walk estimate exceeds
     ``CENSUS_BUDGET``; ``optimal_lcd`` shifts the at most 6 forms of
-    ``_OPTIMAL_ROWS`` by m = n div 5, at any length.
+    ``_table_at(n)`` by m = n div 5, at any length.
     ``_census_enumerated`` rebuilds every code and measures it from its
     codewords, as the cross-checking oracle.
     """
@@ -441,7 +443,7 @@ def census(n: int, filter: str = "lcd", include_zero_columns: bool = False) -> l
 
 
 # ---------------------------------------------------------------------------
-# the catalog, its labels and the optimal rows
+# the per-residue table: optimal forms, catalog rows and labels
 
 # Designated class representatives per residue, in classification order.
 CLASS_REPRESENTATIVE_LABELS: dict[int, tuple[str, ...]] = {
@@ -452,105 +454,98 @@ CLASS_REPRESENTATIVE_LABELS: dict[int, tuple[str, ...]] = {
     4: ("C_{5m+4,8}", "C_{5m+4,6}", "C_{5m+4,21}", "C_{5m+4,23}", "C_{5m+4,24}"),
 }
 
-# Per residue r, the catalog rows (label, offsets c, m_min, key offsets K)
-# in catalog order, so that row i is C_{5m+r,i}; K is the canonical form of
-# the point multiplicities of c.
-_CATALOG_ROWS = {
-    residue: tuple(
-        (f.label, f.offsets, f.m_min, _canonical_mp(_atuple_mp(f.offsets)))
-        for f in fam.family_catalog()
-        if f.residue == residue
-    )
-    for residue in range(5)
-}
-
 
 def _window_forms(n: int) -> list[tuple[int, tuple[int, ...]]]:
     """The optimal LCD forms (m0, mp) of length n, zero columns included, in
-    census order, from the d = dmax(n) window walk: the forms
-    ``_OPTIMAL_ROWS`` is read from, and that ``verify`` checks it against."""
+    census order, from the d = dmax(n) window walk: the forms ``_TABLES`` is
+    read from, and that ``verify`` checks it against."""
     d = dmax(n)
     # The largest part t - d of an optimal form is at least d/4.
     return list(_forms(n, _runs(n, n - d - (d + 3) // 4, d, d, True)))
 
 
-def _optimal_rows(m_ref: int) -> dict[int, tuple[tuple[int, ...], ...]]:
-    """Per residue r, the forms of ``_window_forms(5 m_ref + r)`` in census
-    order, as (m0, o0, o1, o2, ox, m_min): the form's p0, p1, p2 and x less
-    m_ref, and the least m at which its smallest part, p0, is >= 0."""
-    return {
-        residue: tuple(
-            (m0, p0 - m_ref, p1 - m_ref, p2 - m_ref, x - m_ref, max(0, m_ref - p0))
-            for m0, (p0, p1, p2, x, _) in _window_forms(5 * m_ref + residue)
-        )
-        for residue in range(5)
-    }
+# At n = 5m + r, dmax(n) = 4m + c with c = dmax(5 + r) - 4 = -1, 0, 1, 2, 2
+# for r = 0..4.  Write the parts of an optimal form (m0, mp) as m + o_i: the
+# offsets o_i sum to r - m0, and d, the sum of the four smaller parts, is
+# 4m + c, so the largest offset is r - m0 - c <= 2 and the smallest at least
+# (r - m0) - 4(r - m0 - c) >= 4c - 3r.  Adding 1 to all five parts keeps the
+# sort, the parity swap (five distinct parts stay distinct), d = dmax(n) and
+# ``_lcd_form`` (flipping all five parities keeps it), so a form is optimal at
+# every m whose parts are >= 0, and only there.  The walk at any m >= 3r - 4c
+# thus sees every offset vector, and a catalog row holds from its m_min on.
+# So each residue's table runs up to last = max(3r - 4c, largest m_min) =
+# 4, 3, 2, 1, 4, is read from one walk at m = last, and its last entry holds
+# at every larger m: 2, 2, 1, 1 and 6 forms for r = 0..4, one of them (r = 4)
+# with a zero column.
+def _residue_table(residue: int) -> tuple[tuple[tuple, tuple, tuple], ...]:
+    """The entries (forms, rows, labels) at m = 0..last of ``residue``, as
+    offsets from m: the optimal forms (m0, o0, o1, o2, ox) in census order
+    whose smallest part m + o0 is >= 0; the catalog rows (label, c, K) valid
+    at m in catalog order, K the canonical form of the point multiplicities
+    of c; and (K, label) per class of those rows, labelled by its first
+    designated representative, else its first row."""
+    c = dmax(5 + residue) - 4
+    rows = [
+        (f.m_min, f.label, f.offsets, _canonical_mp(_atuple_mp(f.offsets)))
+        for f in fam.family_catalog()
+        if f.residue == residue
+    ]
+    last = max(3 * residue - 4 * c, *(row[0] for row in rows))
+    forms = [
+        (m0, p0 - last, p1 - last, p2 - last, x - last)
+        for m0, (p0, p1, p2, x, _) in _window_forms(5 * last + residue)
+    ]
+    reps = CLASS_REPRESENTATIVE_LABELS[residue]
+    # The designated representatives first, in their order, then catalog
+    # order: the first label set for a class key is its label.
+    first = sorted(rows, key=lambda row: reps.index(row[1]) if row[1] in reps else len(reps))
+    entries = []
+    for m in range(last + 1):
+        labels = {}
+        for m_min, label, _, key in first:
+            if m >= m_min:
+                labels.setdefault(key, label)
+        valid = tuple((label, offsets, key) for m_min, label, offsets, key in rows if m >= m_min)
+        entries.append((tuple(f for f in forms if m + f[1] >= 0), valid, tuple(labels.items())))
+    return tuple(entries)
 
 
-# At n = 5m + r, dmax(n) = 4m + c with c = -1, 0, 1, 2, 2 for r = 0..4.  Write
-# the parts of an optimal form (m0, mp) as m + o_i: the offsets o_i sum to
-# r - m0, and d, the sum of the four smaller parts, is 4m + c, so the largest
-# offset is r - m0 - c <= 2 and the smallest at least (r - m0) - 4(r - m0 - c)
-# >= -4.  Adding 1 to all five parts keeps the sort, the parity swap (five
-# distinct parts stay distinct), d = dmax(n) and ``_lcd_form`` (flipping all
-# five parities keeps it), so a form is optimal at every m whose parts are
-# >= 0, and only there.  The walk at m = 4 thus sees every offset vector, and
-# the optimal census at any length is these rows shifted by m: 2, 2, 1, 1
-# and 6 forms for r = 0..4, one of them (r = 4) with a zero column.
-_OPTIMAL_ROWS = _optimal_rows(4)
+_TABLES = tuple(_residue_table(residue) for residue in range(5))
+
+
+def _table_at(n: int) -> tuple[int, tuple[tuple, tuple, tuple]]:
+    """(m, entry) for n = 5m + r: the entry of ``_TABLES[r]`` at the lesser of m
+    and its last index, whose offsets the readers add m to."""
+    if n < 2:
+        raise ValueError(f"n must be >= 2, got {n}")
+    m, residue = divmod(n, 5)
+    table = _TABLES[residue]
+    return m, table[min(m, len(table) - 1)]
 
 
 def _catalog_view(n: int) -> dict[str, tuple[tuple[int, ...], tuple[int, tuple[int, ...]]]]:
     """Label -> (entries (a1, .., a5), class key (a0, canonical mp)) of the
     catalog rows valid at n = 5m + r, in catalog order: m + c and (0, m + K)
-    for the rows of ``_CATALOG_ROWS[r]`` with m >= m_min, since sorting and
-    the parity swap commute with adding m to every part."""
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
-    m, residue = divmod(n, 5)
+    for the rows (label, c, K) of ``_table_at(n)``, since sorting and the
+    parity swap commute with adding m to every part."""
+    m, (_, rows, _) = _table_at(n)
     return {
         label: (
             (m + c1, m + c2, m + c3, m + c4, m + c5),
             (0, (m + k1, m + k2, m + k3, m + k4, m + k5)),
         )
-        for label, (c1, c2, c3, c4, c5), m_min, (k1, k2, k3, k4, k5) in _CATALOG_ROWS[residue]
-        if m >= m_min
+        for label, (c1, c2, c3, c4, c5), (k1, k2, k3, k4, k5) in rows
     }
-
-
-def _label_rows(residue: int, m: int) -> tuple[tuple[tuple[int, ...], str], ...]:
-    """(K, label) for the classes of the catalog rows of ``residue`` valid at
-    m, K the offsets of the class key (0, m + K), labelled by the first
-    designated representative in the class, else its first row in catalog
-    order."""
-    keys = {label: key for label, _, m_min, key in _CATALOG_ROWS[residue] if m >= m_min}
-    out = {}
-    # A label names its residue, so only the residue's representatives hit.
-    for label in (*CLASS_REPRESENTATIVE_LABELS[residue], *keys):
-        if label in keys:
-            out.setdefault(keys[label], label)
-    return tuple(out.items())
-
-
-# Per residue, ``_label_rows`` at m = 0, 1, .., up to the rows' largest m_min,
-# from which on every row is valid.
-_LABEL_ROWS = {
-    residue: tuple(_label_rows(residue, m) for m in range(max(row[2] for row in rows) + 1))
-    for residue, rows in _CATALOG_ROWS.items()
-}
 
 
 def _label_map(n: int) -> dict[tuple[int, tuple[int, ...]], str]:
     """Class key -> catalog label for the catalog classes at n = 5m + r: the
-    first designated representative in the class, else its first row.  Reads
-    ``_LABEL_ROWS[r]`` at the lesser of m and its last index, and adds m."""
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
-    m, residue = divmod(n, 5)
-    table = _LABEL_ROWS[residue]
+    first designated representative in the class, else its first row.  Adds
+    m to the (K, label) pairs of ``_table_at(n)``."""
+    m, (_, _, labels) = _table_at(n)
     return {
         (0, (m + k1, m + k2, m + k3, m + k4, m + k5)): label
-        for (k1, k2, k3, k4, k5), label in table[min(m, len(table) - 1)]
+        for (k1, k2, k3, k4, k5), label in labels
     }
 
 

@@ -6,15 +6,13 @@ against the independent census and returns a structured report.  At
 n = 5m + r the catalog row with offsets c has the tuple m + c and the
 class key (0, m + K), K the canonical form of the offsets' point
 multiplicities: sorting and the parity swap commute with adding m to
-every part.  ``classify`` reads the rows once, at import, so each
-length's view from label to tuple and class key is additions alone; the
-checks read that view and the census forms, and build no class object.
-T1 compares the view with ``_optimal_entries``, which reads the b-window
-table of ``family``; T4 reads the labels from ``classify``'s per-residue
-label table and compares the optimal rows with a fresh window walk at
-each length.
-The checks reach the census, the catalog view and the rows through the
-``classify`` and ``family`` modules.
+every part.  ``classify`` builds one per-residue table at import, so
+each length's view from label to tuple and class key, its labels and its
+optimal forms are additions alone; the checks read them and build no
+class object.  T1 compares the view with ``_optimal_entries``, which
+reads the b-window table of ``family``; T2 names the chain rows by their
+catalog labels; T4 reads the labels and compares the optimal census with
+a fresh window walk at each length.
 """
 
 from __future__ import annotations
@@ -138,11 +136,10 @@ def _check_catalog(n: int, view: dict) -> CheckResult:
 
 def _check_chains(n: int, view: dict) -> CheckResult:
     residue = n % 5
-    rows = cls._CATALOG_ROWS[residue]
     problems = []
     chain_canons = []
     for chain in EQUIV_CHAINS[residue]:
-        labels = (rows[index - 1][0] for index in chain)
+        labels = (fam._family_label(residue, index) for index in chain)
         canons = {view[label][1] for label in labels if label in view}
         if not canons:
             continue

@@ -333,17 +333,44 @@ def test_optimal_rows_equal_the_window_walk():
 
 
 def test_optimal_rows_hold_the_headline_counts():
-    # 2, 2, 1, 1 and 5 classes for n = 5m + r, r = 0..4, once m is large
-    # enough, plus one zero-column class at r = 4.
-    rows = classify_module._OPTIMAL_ROWS
+    # 2, 2, 1, 1 and 5 classes for n = 5m + r, r = 0..4, from the last entry
+    # of each residue's table on, plus one zero-column class at r = 4.
+    rows = {r: table[-1][0] for r, table in enumerate(classify_module._TABLES)}
     assert {r: len(rows[r]) for r in range(5)} == {0: 2, 1: 2, 2: 1, 3: 1, 4: 6}
     assert [r for r in range(5) for row in rows[r] if row[0]] == [4]
     assert [row[0] for row in rows[4]] == [0, 0, 0, 0, 0, 1]
 
 
-def test_optimal_rows_do_not_depend_on_the_reference_length():
-    assert classify_module._optimal_rows(9) == classify_module._OPTIMAL_ROWS
-    assert max(row[5] for rows in classify_module._OPTIMAL_ROWS.values() for row in rows) == 3
+def _table_entry_reference(n):
+    """A ``_TABLES`` entry at n = 5m + r rebuilt without the table, as offsets
+    from m: the forms of the window walk, the rows of the catalog view
+    rebuilt row by row, and the label map by the rule applied to that view."""
+    m = n // 5
+    forms = tuple(
+        (m0, p0 - m, p1 - m, p2 - m, x - m)
+        for m0, (p0, p1, p2, x, _) in classify_module._window_forms(n)
+    )
+    rows = tuple(
+        (label, tuple(a - m for a in entries), tuple(k - m for k in key[1]))
+        for label, (entries, key) in catalog_view_reference(n).items()
+    )
+    labels = tuple(
+        (tuple(k - m for k in key[1]), label) for key, label in label_map_reference(n).items()
+    )
+    return forms, rows, labels
+
+
+def test_residue_tables_equal_direct_walks_and_the_rebuilt_catalog():
+    # The last index is derived per residue; every entry is the state at its
+    # m, and the last one the state at every larger m.
+    for r, table in enumerate(classify_module._TABLES):
+        last = len(table) - 1
+        assert last == (4, 3, 2, 1, 4)[r], r
+        for m, entry in enumerate(table):
+            if 5 * m + r >= 2:
+                assert entry == _table_entry_reference(5 * m + r), (r, m)
+        for m in (last + 1, last + 2, last + 3, 10**6 + 3):
+            assert table[-1] == _table_entry_reference(5 * m + r), (r, m)
 
 
 def test_classify_optimal_at_large_lengths():
@@ -398,12 +425,13 @@ def test_are_equivalent_matches_exhaustive_search():
 
 def test_census_fast_equals_enumerated_oracle():
     for n in range(2, 13):
-        for filt in ("all", "lcd", "optimal_lcd"):
-            for izc in (False, True):
+        for izc in (False, True):
+            slow = _census_enumerated(n, izc)
+            assert list(slow) == ["all", "lcd", "optimal_lcd"], (n, izc)
+            for filt, classes in slow.items():
                 fast = census(n, filt, include_zero_columns=izc)
-                slow = _census_enumerated(n, filt, izc)
                 assert [(c.canon, c.d, c.we, c.zero_col) for c in fast] == [
-                    (c.canon, c.d, c.we, c.zero_col) for c in slow
+                    (c.canon, c.d, c.we, c.zero_col) for c in classes
                 ], (n, filt, izc)
 
 
@@ -413,7 +441,7 @@ def test_enumerated_oracle_checks_the_derived_enumerator(monkeypatch):
 
     monkeypatch.setattr(classify_module, "_we_from_mult", drop_last_term)
     with pytest.raises(AssertionError):
-        _census_enumerated(9, "all", False)
+        _census_enumerated(9, False)
 
 
 def test_enumerated_oracle_checks_the_derived_min_weight(monkeypatch):
@@ -422,7 +450,7 @@ def test_enumerated_oracle_checks_the_derived_min_weight(monkeypatch):
 
     monkeypatch.setattr(classify_module, "_min_weight_from_mult", shift_by_one)
     with pytest.raises(AssertionError):
-        _census_enumerated(9, "all", False)
+        _census_enumerated(9, False)
 
 
 def test_census_examples():
@@ -565,13 +593,17 @@ def test_verify_reports_a_wrong_class_count(monkeypatch):
 
 
 def test_verify_reports_a_missing_optimal_class(monkeypatch):
-    # (2, 3, 4, 5, 5) is the class C_{5m+4,21} at n = 19, the row with
-    # offsets (-1, 0, 1, 2, 2) from m and m_min = 1; dropped from the optimal
-    # rows, its class goes missing at n = 9, 14 and 19, and the window walk
-    # still finds it.
-    rows = classify_module._OPTIMAL_ROWS[4]
-    assert rows[3] == (0, -1, 0, 1, 2, 1)
-    monkeypatch.setitem(classify_module._OPTIMAL_ROWS, 4, rows[:3] + rows[4:])
+    # (2, 3, 4, 5, 5) is the class C_{5m+4,21} at n = 19, the form with
+    # offsets (-1, 0, 1, 2, 2) from m in the entries m = 1..4 of residue 4;
+    # dropped from them, its class goes missing at n = 9, 14 and 19, and the
+    # window walk still finds it.
+    form = (0, -1, 0, 1, 2)
+    tables = classify_module._TABLES
+    assert [form in forms for forms, _, _ in tables[4]] == [False, True, True, True, True]
+    dropped = tuple(
+        (tuple(f for f in forms if f != form), rows, labels) for forms, rows, labels in tables[4]
+    )
+    monkeypatch.setattr(classify_module, "_TABLES", (*tables[:4], dropped))
     expected = []
     for m, (count, zero) in enumerate(((2, 3), (3, 4), (4, 5)), start=1):
         missing = (0, (m - 1, m, m + 1, m + 2, m + 2))
@@ -748,14 +780,18 @@ def test_label_map_matches_the_rule_applied_to_the_rebuilt_catalog():
 
 
 def test_verify_reports_a_corrupt_catalog_row(monkeypatch):
-    # The view reads the rows fixed at import, so the corruption goes into
-    # that table: C_{5m+4,8} gets the offsets (2, 0, 0, 0, 0) but keeps its
-    # class key, which T2 and T4 read.
-    rows = list(classify_module._CATALOG_ROWS[4])
-    label, _, m_min, key = rows[7]
-    assert label == "C_{5m+4,8}"
-    rows[7] = (label, (2, 0, 0, 0, 0), m_min, key)
-    monkeypatch.setitem(classify_module._CATALOG_ROWS, 4, tuple(rows))
+    # The view reads the table fixed at import, so the corruption goes into
+    # it: C_{5m+4,8} gets the offsets (2, 0, 0, 0, 0) in every entry of
+    # residue 4 but keeps its class key, which T2 and T4 read.
+    def corrupt(rows):
+        return tuple(
+            (label, (2, 0, 0, 0, 0) if label == "C_{5m+4,8}" else c, key) for label, c, key in rows
+        )
+
+    tables = classify_module._TABLES
+    assert all("C_{5m+4,8}" in [row[0] for row in rows] for _, rows, _ in tables[4])
+    corrupted = tuple((forms, corrupt(rows), labels) for forms, rows, labels in tables[4])
+    monkeypatch.setattr(classify_module, "_TABLES", (*tables[:4], corrupted))
     # (2, 0, 0, 0, 0) + m has point multiplicities (1, 3, 0, 0, 0) + m: at
     # t = 4m + 4 nonzero columns, 3 words each of weights t - 1 - m and
     # t - 3 - m, and 9 of weight t - m.
