@@ -89,8 +89,11 @@ def _emit_classes(n: int, runs: list, labels: dict, fmt: str, header: str):
     out = sys.stdout
     json_fmt, text = fmt == "json", fmt == "text"
     # A term's key is its (w, A_w).
-    template = ',\n      "{0[0]}": {0[1]}' if json_fmt else "+{0[1]}y^{0[0]}"
-    terms, num = _Memo(template.format), _Memo(str)
+    if json_fmt:
+        terms = _Memo(lambda key: f',\n      "{key[0]}": {key[1]}')
+    else:
+        terms = _Memo(lambda key: f"+{key[1]}y^{key[0]}")
+    num = _Memo(str)
     # Every label holds a comma and no quote, backslash or non-ASCII
     # character, so the literal quotes are what json.dumps and csv.writer write.
     quote = str if text else '"{}"'.format
@@ -275,15 +278,17 @@ def cmd_verify(args: SimpleNamespace) -> int:
             for c in checks
         )
         sys.stdout.write(f'{{\n  "n_max": {report.n_max},\n  "checks": [\n{entries}\n  ]\n}}\n')
-        return 0 if report.passed else 1
-    rows = [[c.id, c.n, "true" if c.passed else "false", c.detail] for c in checks]
-    lines = [f"{c.id} n={c.n} {'PASS' if c.passed else 'FAIL'} {c.detail}" for c in checks]
-    failed = len(report.failures())
-    if failed:
-        lines.append(f"RESULT: FAIL ({failed} of {len(checks)} checks failed)")
+    elif args.format == "csv":
+        rows = [[c.id, c.n, "true" if c.passed else "false", c.detail] for c in checks]
+        _write("csv", None, ["id", "n", "pass", "detail"], rows, [])
     else:
-        lines.append(f"RESULT: PASS ({len(checks)} checks)")
-    _write(args.format, None, ["id", "n", "pass", "detail"], rows, lines)
+        lines = [f"{c.id} n={c.n} {'PASS' if c.passed else 'FAIL'} {c.detail}" for c in checks]
+        failed = len(report.failures())
+        if failed:
+            lines.append(f"RESULT: FAIL ({failed} of {len(checks)} checks failed)")
+        else:
+            lines.append(f"RESULT: PASS ({len(checks)} checks)")
+        _write("text", None, [], [], lines)
     return 0 if report.passed else 1
 
 
@@ -326,6 +331,20 @@ _COMMANDS = {
         None,
         {**_FORMAT, "--n-max": (int, 32, "largest length checked (default: 32)")},
     ),
+}
+
+# Built once from _COMMANDS: per command, {flag: (kind, attribute)} with
+# "--help" first, and the namespace its options give when none is set.
+_FLAGS = {
+    command: {
+        "--help": (bool, None),
+        **{flag: (kind, flag[2:].replace("-", "_")) for flag, (kind, _, _) in row[3].items()},
+    }
+    for command, row in _COMMANDS.items()
+}
+_DEFAULTS = {
+    command: {flag[2:].replace("-", "_"): default for flag, (_, default, _) in row[3].items()}
+    for command, row in _COMMANDS.items()
 }
 
 _DESCRIPTION = (
@@ -388,6 +407,9 @@ def _read_arg(arg: str, flags, command: str | None):
         value = arg[3:] if arg[2:3] == "=" else arg[2:]
         return "--help", value if value.strip("h") or arg == "-h=" else None
     name, eq, value = arg.partition("=")
+    if name in flags:
+        # No flag is a prefix of another, so the scan would find this one alone.
+        return name, value if eq else None
     matches = [flag for flag in flags if flag.startswith(name)]
     if len(matches) > 1:
         _refuse(command, f"ambiguous option: {arg} could match {', '.join(matches)}")
@@ -417,14 +439,13 @@ def _parse_command(command: str, args: list[str]) -> tuple[SimpleNamespace, list
     string, which must be a positional.  The first ``--`` ends the options;
     the positional takes a ``--`` right before or after it, and any other
     ``--`` is left over.  The last of a repeated option wins."""
-    _, _, positional, options = _COMMANDS[command]
-    ns = SimpleNamespace(command=command)
-    for flag, (_, default, _) in options.items():
-        setattr(ns, flag[2:].replace("-", "_"), default)
+    positional = _COMMANDS[command][2]
+    ns = SimpleNamespace(command=command, **_DEFAULTS[command])
+    flags = _FLAGS[command]
     stop = args.index("--") if "--" in args else len(args)
     # A token per string: (flag, value) for an option, None for a
     # positional, "--" for the end of the options; "--" again past the end.
-    tokens = [_read_arg(arg, ("--help", *options), command) for arg in args[:stop]]
+    tokens = [_read_arg(arg, flags, command) for arg in args[:stop]]
     tokens += ["--", *[None] * (len(args) - stop - 1), "--"]
     extras = []
     i = 0
@@ -442,24 +463,25 @@ def _parse_command(command: str, args: list[str]) -> tuple[SimpleNamespace, list
             i = start + 1 + (tokens[start + 1] == "--")
             continue
         flag, value = token
-        kind = bool if flag == "--help" else options.get(flag, (None,))[0]
-        if kind is None:
+        if flag is None:
             extras.append(args[i - 1])
-        elif kind is bool:
+            continue
+        kind, attribute = flags[flag]
+        if kind is bool:
             if value is not None:
                 name = "-h/--help" if flag == "--help" else flag
                 _refuse(command, f"argument {name}: ignored explicit argument {value!r}")
             if flag == "--help":
                 print(_help(command))
                 raise SystemExit(0)
-            setattr(ns, flag[2:].replace("-", "_"), True)
+            setattr(ns, attribute, True)
         else:
             if value is None:
                 if tokens[i] is not None:
                     _refuse(command, f"argument {flag}: expected one argument")
                 value = args[i]
                 i += 1
-            setattr(ns, flag[2:].replace("-", "_"), _convert(command, flag, kind, value))
+            setattr(ns, attribute, _convert(command, flag, kind, value))
     if positional is not None:
         _refuse(command, f"the following arguments are required: {positional[0]}")
     return ns, extras

@@ -1,8 +1,11 @@
 """Quaternary linear codes presented by full-rank generator matrices.
 
-A ``LinearCode`` wraps a k x n generator matrix of rank k.  The zero
-code is allowed as a 0 x n matrix so that the Hermitian dual is total
-and rank-nullity stays testable.  The weight enumerator walks one word
+A ``LinearCode`` wraps a k x n generator matrix of rank k.  Rows that
+open with the identity block I_k have rank k, so such a generator (every
+``family.build_generator`` output) is accepted without elimination; any
+other generator is proven by ``linalg.rank``.  The zero code is allowed
+as a 0 x n matrix so that the Hermitian dual is total and rank-nullity
+stays testable.  The weight enumerator walks one word
 per scalar class {v, w*v, w2*v} of nonzero codewords, (4^k - 1)/3 words
 held as the two int bit planes of ``linalg.planes`` in the basis {1, w}
 of ``gf4``: addition is XOR, scaling swaps and XORs the planes, and a
@@ -20,6 +23,12 @@ from .linalg import Mat, Vec, det, gram, kernel_basis, planes, rank, scale_plane
 
 
 class LinearCode(Frozen):
+    """The code spanned by the rows of ``gen``, which must have rank k.
+
+    Rank k is proven without elimination when the first k columns are the
+    identity, as in every ``family.build_generator`` output; any other
+    generator is reduced by ``linalg.rank``."""
+
     __slots__ = ("gen",)
 
     def __init__(self, gen: Mat) -> None:
@@ -27,9 +36,12 @@ class LinearCode(Frozen):
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        if self.gen.nrows > self.gen.ncols:
-            raise ValueError(f"dimension {self.gen.nrows} exceeds length {self.gen.ncols}")
-        if rank(self.gen) != self.gen.nrows:
+        gen, k = self.gen, self.gen.nrows
+        if k > gen.ncols:
+            raise ValueError(f"dimension {k} exceeds length {gen.ncols}")
+        # I_k row by row is (1, then k zeros) k times, cut to k^2 entries.
+        leading = b"".join(row[:k] for row in gen.rows)
+        if leading != ((b"\x01" + b"\x00" * k) * k)[: k * k] and rank(gen) != k:
             raise ValueError("generator matrix is rank deficient")
 
     @property

@@ -573,6 +573,21 @@ def test_verify_reports_a_chain_that_splits(monkeypatch):
     ]
 
 
+def test_verify_reads_the_chains_afresh_on_every_call(monkeypatch):
+    # A chain table kept from the first call would hide the split.
+    assert _failures(10) == []
+    first, second = EQUIV_CHAINS[0]
+    monkeypatch.setitem(EQUIV_CHAINS, 0, (first + second,))
+    assert _failures(10) == [
+        (
+            "T2",
+            10,
+            False,
+            "chain (7, 6, 5, 8, 3, 2, 1, 4) splits into 2 classes; 1 nonempty chains, expected 2",
+        )
+    ]
+
+
 def test_verify_reports_a_wrong_weight_form(monkeypatch):
     monkeypatch.setitem(verify_module.REPRESENTATIVE_WEIGHT_FORMS, "C_{5m+2,1}", ((1, 6), (2, 10)))
     assert _failures(14) == [

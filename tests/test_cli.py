@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import math
@@ -680,6 +681,26 @@ def test_verify_writes_what_the_reference_renderer_prints(capsys, fmt):
         assert run_cli(capsys, "verify", "--n-max", str(n_max), "--format", fmt) == (0, expected, ""), n_max
 
 
+# sha256 of the stdout of `lcd2 verify --n-max N --format F` as first
+# recorded.  The reference renderer above renders the same report the CLI
+# writes, so only a fixed digest sees a change to a check's detail.
+_VERIFY_SHA256 = {
+    (32, "text"): "c62d0f8b70828df51668998d3445f9ce6a7103b5dbcd17e9b213dd179a9dc95b",
+    (32, "json"): "89ab9bbb0325be41ae428b2988c61d66d254c3f2e7032dbdaa6d4e3958711e64",
+    (32, "csv"): "999f8fa9294de3235d94400eef9243cbd26daf7c1daaf63c7dee701eddc09425",
+    (100, "text"): "50af6a2aeaf17c519d6a402fbff37effd0ccaa51801f4eea3288503b31efb981",
+    (100, "json"): "b1b85439c50a8c5afa6e24a6e892bb90e506d8816b3e8eeae023d0a3c887149e",
+    (100, "csv"): "7aa2c0423dac60aeb2d6e2d2446a2c10d69db0c11bf952a9f37de6915d6f3ae0",
+}
+
+
+@pytest.mark.parametrize("n_max, fmt", list(_VERIFY_SHA256))
+def test_verify_output_keeps_its_recorded_digest(capsys, n_max, fmt):
+    rc, out, err = run_cli(capsys, "verify", "--n-max", str(n_max), "--format", fmt)
+    assert (rc, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == _VERIFY_SHA256[n_max, fmt]
+
+
 def test_verify_writes_a_failing_check_as_the_reference_renderer_does(capsys, monkeypatch):
     # A detail that csv.writer must quote and json.dumps must escape.
     detail = 'a "quoted" word, a back\\slash,\nan accent \u00e9'
@@ -719,6 +740,15 @@ def test_parser_matches_the_reference_argparse_tree():
     grid = parser_grid()
     assert len(grid) > 2000
     assert parser_mismatches(_parse, grid) == []
+
+
+def test_no_flag_of_a_command_is_a_prefix_of_another():
+    # The parser returns a flag given in full before it scans for prefixes,
+    # which finds the same flag only while this holds.
+    for command, (_, _, _, options) in _COMMANDS.items():
+        flags = ["--help", *options]
+        assert len(set(flags)) == len(flags), command
+        assert [(a, b) for a in flags for b in flags if a != b and b.startswith(a)] == [], command
 
 
 def test_help_flag_given_a_value_is_refused_as_argparse_refuses_it():

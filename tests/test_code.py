@@ -12,7 +12,8 @@ from helpers import (
     random_monomial_image,
     random_rank2_matrix,
 )
-from lcd2 import gf4
+from lcd2 import gf4, linalg
+from lcd2.classify import _catalog_view
 from lcd2.code import (
     LinearCode,
     WeightEnumerator,
@@ -42,6 +43,36 @@ def test_linear_code_validation():
         LinearCode(mat([[1], [1]]))  # k > n
     zero = LinearCode(mat([], ncols=3))
     assert zero.k == 0 and zero.n == 3
+
+
+def test_generators_opening_with_the_identity_are_accepted_without_elimination(monkeypatch):
+    def refuse(m):
+        raise AssertionError("eliminated a generator that opens with the identity")
+
+    monkeypatch.setattr(linalg, "_eliminate", refuse)
+    built = 0
+    for n in range(2, 61):
+        for entries, _ in _catalog_view(n).values():
+            code = LinearCode(build_generator(ATuple(*entries)))
+            assert (code.n, code.k) == (n, 2)
+            built += 1
+    assert built > 500
+    # [I_9 | 0], the nine-dimensional code that check admits in tests/test_cli.py.
+    code = LinearCode(mat([[1 if j == i else 0 for j in range(10)] for i in range(9)]))
+    assert (code.n, code.k) == (10, 9)
+
+
+@pytest.mark.parametrize("text", ["1,0;0,0", "1,w;w2,1", "0,1;0,w", "1,w,0;0,1,w2;1,w2,w2"])
+def test_rank_deficient_generators_are_refused(text):
+    gen = linalg.parse_matrix(text)
+    assert rank(gen) < gen.nrows
+    with pytest.raises(ValueError, match="^generator matrix is rank deficient$"):
+        LinearCode(gen)
+
+
+def test_dimension_over_length_is_refused_before_rank():
+    with pytest.raises(ValueError, match="^dimension 3 exceeds length 2$"):
+        LinearCode(linalg.parse_matrix("1,0;0,1;1,1"))
 
 
 def test_codewords_examples():
