@@ -243,10 +243,11 @@ def representative_atuple(mv: MultVector) -> ATuple:
 # with zero columns.  The budget admits n <= 161, or n <= 78 with zero
 # columns; census(150, "all") walks 213k partitions into 378k classes (1.7
 # s and 117 MB peak RSS on a 2-vCPU x86-64 machine; ``lcd2 census 150
-# --filter all --format json``, which keeps only 19k runs, takes 0.68-0.86 s
-# and peaks at 19 MB: 0.15 s start-up, 0.03 s walk and the rest writing,
-# which takes 0.52-0.55 s timed in one process).  The ``optimal_lcd``
-# census reads at most 6 rows and needs no budget.
+# --filter all --format json``, which keeps only 19k runs, takes 0.31-0.41 s
+# and peaks at 17 MB, least and median of 15 fresh processes: the walk
+# takes 8-10 ms and writing 0.22-0.30 s, timed in each process, and the
+# rest is start-up).  The ``optimal_lcd`` census reads at most 6 rows and
+# needs no budget.
 CENSUS_BUDGET = 250_000
 
 
@@ -376,22 +377,33 @@ def _runs(n: int, m0_last: int, d_lo: int, d_hi: int, lcd: bool):
     which bounds each loop so that no visited prefix (p0, p1, p2) is
     empty.  Under a prefix come the sorted partitions, x = p3 ascending,
     then any mirrors (p0, p1, p2, p4, p3) of the five-distinct ones, x = p4
-    ascending: a mirror's fourth entry exceeds every unmirrored one's.
-    ``_lcd_form`` cuts a prefix to its LCD forms: with r odd one call keeps
-    or drops both ranges, and with r even one call per range says whether
-    it starts at its first x or its second, and it takes every other x."""
+    ascending: a mirror's fourth entry exceeds every unmirrored one's, and
+    its run comes right after the sorted run of its prefix.  A mirror needs
+    x > p2 and x < r - x, so its range is the sorted one without lo = p2
+    and without hi = r / 2, mirrored.  ``_lcd_form`` cuts a prefix to its
+    LCD forms: with r odd one call keeps or drops both ranges, and with r
+    even one call per range says whether it starts at its first x or its
+    second, and it takes every other x.  The bounds are conditional
+    expressions: ``min`` and ``max`` calls took half the walk's time."""
     for m0 in range(m0_last + 1):
         t = n - m0
         top = t - d_lo
-        for p0 in range(max(0, t - 4 * top), min(t // 5, d_hi // 4) + 1):
-            for p1 in range(max(p0, t - 3 * top - p0), min((t - p0) // 4, (d_hi - p0) // 3) + 1):
+        lo0, hi0, cap0 = t - 4 * top, t // 5, d_hi // 4
+        for p0 in range(lo0 if lo0 > 0 else 0, (hi0 if hi0 < cap0 else cap0) + 1):
+            lo1, hi1, cap1 = t - 3 * top - p0, (t - p0) // 4, (d_hi - p0) // 3
+            for p1 in range(lo1 if lo1 > p0 else p0, (hi1 if hi1 < cap1 else cap1) + 1):
                 q1 = p0 + p1
-                for p2 in range(max(p1, t - 2 * top - q1), min((t - q1) // 3, (d_hi - q1) // 2) + 1):
+                lo2, hi2, cap2 = t - 2 * top - q1, (t - q1) // 3, (d_hi - q1) // 2
+                for p2 in range(lo2 if lo2 > p1 else p1, (hi2 if hi2 < cap2 else cap2) + 1):
                     q = q1 + p2
                     r = t - q
-                    lo, hi = max(p2, d_lo - q), min(r // 2, d_hi - q)
+                    lo, hi = d_lo - q, d_hi - q
+                    if lo < p2:
+                        lo = p2
+                    if hi > r >> 1:
+                        hi = r >> 1
                     if p0 < p1 < p2:
-                        mirror_lo, mirror_hi = r - min(hi, (r - 1) // 2), r - max(lo, p2 + 1)
+                        mirror_lo, mirror_hi = r - hi + (hi + hi == r), r - lo - (lo == p2)
                     else:  # no mirror: an empty range
                         mirror_lo, mirror_hi = 1, 0
                     step = 1

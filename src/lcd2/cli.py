@@ -71,16 +71,18 @@ def _emit_classes(n: int, runs: list, labels: dict, fmt: str, header: str):
     """Write the classes of the runs (m0, p0, p1, p2, xs) of ``census_runs``
     to stdout in ``fmt``, labelled by ``labels``: one string per run.
 
-    A call memoises the text of each number and enumerator term it writes.
-    A change of m0 builds the text that depends on m0 alone.  A run builds
-    its prefix, its enumerator tail (the terms of p2 >= p1 >= p0:
-    (t - p2, c0), c0 = 3, 6 or 9 by how many parts equal p2, then the rest)
-    and, when p1 > 0, its representative head; lo, the smaller of x and
-    r - x, is x throughout a sorted run and r - x throughout a mirrored one.
-    A row writes d = t - (r - lo) and its terms, merging coinciding parts:
-    3y^d, 3y^(t - lo) and the tail; 3y^d, (t - p2, c0 + 3) and the rest for
-    lo = p2; 6y^(t - lo) and the tail for x = r - x; (t - p2, c0 + 6) and
-    the rest for both.  When p1 = 0 a row adds its own
+    A call formats each number and enumerator term it writes once.  A
+    change of m0 builds the text that depends on m0 alone.  A run with a
+    new (m0, p0, p1, p2) builds its prefix, its enumerator tail (the terms
+    of p2 >= p1 >= p0: (t - p2, c0), c0 = 3, 6 or 9 by how many parts equal
+    p2, then the rest) and, when p1 > 0, its representative head; a
+    mirrored run, which comes right after the sorted run of its prefix,
+    reuses them.  lo, the smaller of x and r - x, is x throughout a sorted
+    run and r - x throughout a mirrored one.  A row writes d = t - (r - lo)
+    and its terms, merging coinciding parts: 3y^d, 3y^(t - lo) and the tail,
+    written into the row's one string; 3y^d, (t - p2, c0 + 3) and the rest
+    for lo = p2; 6y^(t - lo) and the tail for x = r - x; (t - p2, c0 + 6)
+    and the rest for both.  When p1 = 0 a row adds its own
     ``representative_entries``; a row in ``labels`` adds its label.
     JSON is ``json.dumps(classes, indent=2)`` of the README schema's class
     objects; CSV is what ``csv.writer`` writes; text is the header and one
@@ -93,7 +95,10 @@ def _emit_classes(n: int, runs: list, labels: dict, fmt: str, header: str):
         terms = _Memo(lambda key: f',\n      "{key[0]}": {key[1]}')
     else:
         terms = _Memo(lambda key: f"+{key[1]}y^{key[0]}")
-    num = _Memo(str)
+    # Every number written lies in 0..n.  A walked census, whose runs
+    # outnumber them, writes nearly all of them, so it formats them up
+    # front; a table census writes a few and memoises those.
+    num = list(map(str, range(n + 1))) if len(runs) > n else _Memo(str)
     # Every label holds a comma and no quote, backslash or non-ASCII
     # character, so the literal quotes are what json.dumps and csv.writer write.
     quote = str if text else '"{}"'.format
@@ -116,6 +121,7 @@ def _emit_classes(n: int, runs: list, labels: dict, fmt: str, header: str):
     for m0, p0, p1, p2, xs in runs:
         if m0 != last_m0:
             last_m0, t = m0, n - m0
+            last_p2 = -1  # the next run builds its prefix
             zero_col = "true" if m0 else "false"
             if json_fmt:
                 mp_open = f',\n    "canonical": {{\n      "m0": {m0},\n      "mp": [\n        '
@@ -130,29 +136,26 @@ def _emit_classes(n: int, runs: list, labels: dict, fmt: str, header: str):
                 after, close = ",1", f",{zero_col}\n"
         q = p0 + p1 + p2
         r = t - q
-        prefix = f"{mp_open}{p0}{mp_sep}{p1}{mp_sep}{p2}{mp_sep}"
-        w0, c0 = t - p2, 3 + 3 * (p1 == p2) + 3 * (p0 == p2)
-        rest = terms[t - p1, 6 if p0 == p1 else 3] if p1 < p2 else ""
-        if p0 < p1:
-            rest += terms[t - p0, 3]
-        tail = terms[w0, c0] + rest
-        if p1:
-            # representative_entries' rotation, which with at most one zero
-            # part moves (p1, p2) ahead of p0 = 0 and leaves p0 > 0 in place.
-            a1, a2, a3 = (p2 - 1, p1 - 1, 0) if p0 == 0 else (p1 - 1, p0 - 1, p2)
-            head = f"{head_open}{a1}{a_sep}{a2}{a_sep}{a3}{a_sep}"
+        if p2 != last_p2 or p1 != last_p1 or p0 != last_p0:
+            last_p0, last_p1, last_p2 = p0, p1, p2
+            prefix = f"{mp_open}{p0}{mp_sep}{p1}{mp_sep}{p2}{mp_sep}"
+            w0, c0 = t - p2, 3 + 3 * (p1 == p2) + 3 * (p0 == p2)
+            rest = terms[t - p1, 6 if p0 == p1 else 3] if p1 < p2 else ""
+            if p0 < p1:
+                rest += terms[t - p0, 3]
+            tail = terms[w0, c0] + rest
+            if p1:
+                # representative_entries' rotation, which with at most one
+                # zero part moves (p1, p2) ahead of p0 = 0 and leaves p0 > 0
+                # in place.
+                a1, a2, a3 = (p2 - 1, p1 - 1, 0) if p0 == 0 else (p1 - 1, p0 - 1, p2)
+                head = f"{head_open}{a1}{a_sep}{a2}{a_sep}{a3}{a_sep}"
         lo_is_x = 2 * xs[0] <= r
         rows = []
         for x in xs:
             y = r - x
             lo = x if lo_is_x else y
             sx, sy, sd = num[x], num[y], num[q + lo]
-            if x == y:
-                we = terms[w0, c0 + 6] + rest if lo == p2 else terms[t - lo, 6] + tail
-            elif lo == p2:
-                we = f"{open3}{sd}{end3}{terms[w0, c0 + 3]}{rest}"
-            else:
-                we = f"{open3}{sd}{next3}{num[t - lo]}{end3}{tail}"
             if p1:
                 a4, a5 = sx, sy
             else:
@@ -161,17 +164,32 @@ def _emit_classes(n: int, runs: list, labels: dict, fmt: str, header: str):
             if labels:
                 found = labels.get((m0, (p0, p1, p2, x, y)))
                 label = none if found is None else quote(found)
-            if text:
+            if x == y or lo == p2:
+                if x == y:
+                    we = terms[w0, c0 + 6] + rest if lo == p2 else terms[t - lo, 6] + tail
+                else:
+                    we = f"{open3}{sd}{end3}{terms[w0, c0 + 3]}{rest}"
+                if text:
+                    rows.append(
+                        f"{prefix}{sx}{mp_sep}{sy} d={sd}{head}{a4}{a_sep}{a5}"
+                        f"{before}{label}{after}{we}{close}"
+                    )
+                else:
+                    rows.append(
+                        f"{sep}{sd}{prefix}{sx}{mp_sep}{sy}{head}{a4}{a_sep}{a5}"
+                        f"{before}{label}{after}{we}{close}"
+                    )
+            elif text:
                 rows.append(
-                    f"{prefix}{sx}{mp_sep}{sy} d={sd}{head}{a4}{a_sep}{a5}"
-                    f"{before}{label}{after}{we}{close}"
+                    f"{prefix}{sx}{mp_sep}{sy} d={sd}{head}{a4}{a_sep}{a5}{before}{label}"
+                    f"{after}{open3}{sd}{next3}{num[t - lo]}{end3}{tail}{close}"
                 )
             else:
                 rows.append(
-                    f"{sep}{sd}{prefix}{sx}{mp_sep}{sy}{head}{a4}{a_sep}{a5}"
-                    f"{before}{label}{after}{we}{close}"
+                    f"{sep}{sd}{prefix}{sx}{mp_sep}{sy}{head}{a4}{a_sep}{a5}{before}{label}"
+                    f"{after}{open3}{sd}{next3}{num[t - lo]}{end3}{tail}{close}"
                 )
-                sep = joiner
+            sep = joiner
         out.write("".join(rows))
     if json_fmt:
         out.write("\n]\n" if sep == joiner else "[]\n")

@@ -18,6 +18,7 @@ from lcd2 import gf4
 from lcd2.classify import (
     EquivClass,
     MultVector,
+    VALID_FILTERS,
     _catalog_view,
     _census_enumerated,
     _iter_compositions,
@@ -298,6 +299,73 @@ def test_census_runs_equal_the_filtered_full_walk():
                     assert len(xs) > 0, (n, filt, z, m0, p0, p1, p2)
                     got += [(m0, (p0, p1, p2, x, n - m0 - p0 - p1 - p2 - x)) for x in xs]
                 assert got == forms, (n, filt, z)
+
+
+def test_window_runs_with_zero_columns_equal_the_filtered_full_walk():
+    # Every d window of the walker, zero columns included, with and without
+    # the LCD cut, against the full walk cut by d and the per-form parity
+    # test: this reaches the loop bounds at m0 > 0 and with lcd=True, which
+    # the window tests above leave out.
+    for n in range(2, 15):
+        full = [
+            (m0, mp, n - m0 - max(mp), _lcd_from_mult(mp))
+            for m0, mp in census_forms(n, "all", True)
+        ]
+        for d_lo in range(1, n + 1):
+            for d_hi in range(d_lo, n + 1):
+                for lcd in (False, True):
+                    expected = [
+                        (m0, mp) for m0, mp, d, is_lcd in full
+                        if d_lo <= d <= d_hi and (is_lcd or not lcd)
+                    ]
+                    got = []
+                    for m0, p0, p1, p2, xs in _runs(n, n - 2, d_lo, d_hi, lcd):
+                        assert len(xs) > 0, (n, d_lo, d_hi, lcd, m0, p0, p1, p2)
+                        got += [(m0, (p0, p1, p2, x, n - m0 - p0 - p1 - p2 - x)) for x in xs]
+                    assert got == expected, (n, d_lo, d_hi, lcd)
+
+
+def _mirrored_runs_following_their_sorted_run(n, runs):
+    """The number of mirrored runs among the runs (m0, p0, p1, p2, xs) of n,
+    each checked to come right after the sorted run of its (m0, p0, p1, p2):
+    the class writer reuses that run's text for it."""
+    mirrored = 0
+    last = None
+    for run in runs:
+        m0, p0, p1, p2, xs = run
+        r = n - m0 - p0 - p1 - p2
+        if 2 * xs[0] > r:
+            assert last is not None and last[:4] == run[:4], (n, last, run)
+            assert 2 * last[4][0] <= r, (n, last, run)
+            mirrored += 1
+        last = run
+    return mirrored
+
+
+def test_every_mirrored_run_follows_the_sorted_run_of_its_prefix():
+    mirrored = 0
+    for n in range(2, 61):
+        for filt in VALID_FILTERS:
+            for z in (False, True) if n <= 40 else (False,):
+                mirrored += _mirrored_runs_following_their_sorted_run(n, census_runs(n, filt, z))
+    # The optimal table past each residue's last index and past 10^6.
+    lengths = [
+        5 * (len(table) - 1 + k) + residue
+        for residue, table in enumerate(classify_module._TABLES)
+        for k in (1, 2, 3)
+    ]
+    lengths += [10**6 + residue for residue in range(5)]
+    for n in lengths:
+        for z in (False, True):
+            runs = census_runs(n, "optimal_lcd", z)
+            mirrored += _mirrored_runs_following_their_sorted_run(n, runs)
+    for n in range(2, 21):
+        for d_lo in range(1, n + 1):
+            for d_hi in range(d_lo, n + 1):
+                for lcd in (False, True):
+                    runs = _runs(n, n - 2, d_lo, d_hi, lcd)
+                    mirrored += _mirrored_runs_following_their_sorted_run(n, runs)
+    assert mirrored > 0
 
 
 def test_optimal_window_equals_full_lcd_walk():

@@ -280,8 +280,9 @@ def test_classify_at_huge_lengths_matches_the_reference_rendering(capsys):
 def test_reference_renderings_reach_every_case_the_writer_treats_apart():
     # The runs the census and classify reference tests above walk hold each
     # case _emit_classes writes differently (each prefix, head and run shape,
-    # each merge of a row's terms, labels), so their byte-identity reaches
-    # every branch of the writer.
+    # each merge of a row's terms, labels, the reuse of a prefix's text and
+    # its rebuilding at a new m0), so their byte-identity reaches every
+    # branch of the writer.
     walks = [
         (n, filt, zero, {}) for n in CENSUS_LENGTHS for filt in FILTERS for zero in (False, True)
     ]
@@ -292,12 +293,16 @@ def test_reference_renderings_reach_every_case_the_writer_treats_apart():
     ]
     seen = set()
     for n, filt, zero, labels in walks:
-        last_m0 = None
+        last = None
         for m0, p0, p1, p2, xs in census_runs(n, filt, zero):
-            if last_m0 is not None and m0 != last_m0:
-                seen.add("run whose m0 differs from the previous run's")
-            last_m0 = m0
             r = n - m0 - p0 - p1 - p2
+            if last is not None and m0 != last[0]:
+                seen.add("run whose m0 differs from the previous run's")
+                if (p0, p1, p2) == last[1:]:
+                    seen.add("run at a new m0 whose (p0, p1, p2) equals the previous run's")
+            if 2 * xs[0] > r and (m0, p0, p1, p2) == last:
+                seen.add("mirrored run that reuses its sorted run's text")
+            last = (m0, p0, p1, p2)
             seen.add(
                 "prefix p0 = p1 = p2" if p0 == p2
                 else "prefix p1 = p2 > p0" if p1 == p2
@@ -324,6 +329,8 @@ def test_reference_renderings_reach_every_case_the_writer_treats_apart():
                     seen.add("labelled row" if key in labels else "unlabelled row")
     assert seen == {
         "run whose m0 differs from the previous run's",
+        "run at a new m0 whose (p0, p1, p2) equals the previous run's",
+        "mirrored run that reuses its sorted run's text",
         "prefix p0 = p1 = p2",
         "prefix p1 = p2 > p0",
         "prefix p2 > p1 = p0",
