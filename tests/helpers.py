@@ -273,6 +273,34 @@ def render_classes(classes: list[EquivClass], fmt: str, header: str) -> str:
     return buf.getvalue()
 
 
+def render_class_pieces(classes, fmt: str, header: str):
+    """``render_classes(list(classes), fmt, header)`` as consecutive pieces,
+    one per class plus the framing, so a census of any size is compared
+    while only one class is held.  A JSON piece is its class's
+    ``json.dumps(indent=2)``, indented by two more spaces as the list's
+    item; no string in a class holds a newline."""
+    if fmt == "json":
+        opener = "[\n  "
+        for c in classes:
+            yield opener + json.dumps(class_to_jsonable(c), indent=2).replace("\n", "\n  ")
+            opener = ",\n  "
+        yield "[]\n" if opener == "[\n  " else "\n]\n"
+    elif fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(CLASS_CSV_HEADER)
+        for c in classes:
+            writer.writerow(class_csv_row(c))
+            yield buf.getvalue()
+            buf.seek(0)
+            buf.truncate()
+        yield buf.getvalue()
+    else:
+        yield header + "\n"
+        for c in classes:
+            yield class_text_line(c) + "\n"
+
+
 def render_report(report: VerificationReport, fmt: str) -> str:
     """What ``verify`` printed for ``report`` in format ``fmt`` when it went
     out line by line: ``json.dumps(indent=2)``, ``csv.writer`` rows, or one

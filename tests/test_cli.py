@@ -23,6 +23,7 @@ from helpers import (
     parser_mismatches,
     random_full_rank,
     reference_parser,
+    render_class_pieces,
     render_classes,
     render_report,
 )
@@ -404,6 +405,18 @@ def test_empty_class_list_output(capsys):
         assert capsys.readouterr().out == render_classes([], fmt, "header")
     _emit_classes(2, [], {}, "json", "header")
     assert capsys.readouterr().out == "[]\n"
+
+
+def test_streamed_reference_rendering_equals_render_classes():
+    # CI compares the largest censuses against the streamed form, so it must
+    # give render_classes' bytes: empty lists, labelled classes, zero columns.
+    lists = [[], census(20, "all", True), census(25, "lcd"), classify_optimal(24, True)]
+    assert any(c.label for c in lists[3]) and any(c.canon.m0 for c in lists[1])
+    for classes in lists:
+        for fmt in FORMATS:
+            pieces = list(render_class_pieces(iter(classes), fmt, "header"))
+            assert len(pieces) == len(classes) + 1
+            assert "".join(pieces) == render_classes(classes, fmt, "header"), (len(classes), fmt)
 
 
 def test_census_calls_representative_entries_once_per_form_of_a_p1_zero_run(capsys, monkeypatch):
