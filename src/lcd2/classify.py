@@ -56,7 +56,7 @@ import lcd2
 
 from . import family as fam
 from . import gf4
-from ._frozen import Frozen, setfield
+from ._frozen import Frozen
 from .family import ATuple, dmax
 
 # Projective points of the line over GF(4), in fixed order, each with
@@ -75,11 +75,6 @@ class MultVector(Frozen):
 
     __slots__ = ("m0", "mp")
 
-    def __init__(self, m0: int, mp: tuple[int, int, int, int, int]) -> None:
-        setfield(self, "m0", m0)
-        setfield(self, "mp", mp)
-        self.__post_init__()
-
     def __post_init__(self) -> None:
         if len(self.mp) != 5:
             raise ValueError(f"expected 5 point multiplicities, got {len(self.mp)}")
@@ -95,7 +90,7 @@ class MultVector(Frozen):
         return sum(1 for x in self.mp if x) >= 2
 
 
-class EquivClass(Frozen):
+class EquivClass(Frozen, defaults={"label": None}):
     """One census class: a rank-2 canonical form and an optional catalog label.
 
     The canonical form is a complete invariant, so n, d, the weight
@@ -106,11 +101,6 @@ class EquivClass(Frozen):
     """
 
     __slots__ = ("canon", "label")
-
-    def __init__(self, canon: MultVector, label: str | None = None) -> None:
-        setfield(self, "canon", canon)
-        setfield(self, "label", label)
-        self.__post_init__()
 
     def __post_init__(self) -> None:
         a, b, c, d, e = self.canon.mp

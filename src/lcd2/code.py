@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 
 from . import gf4
-from ._frozen import Frozen, setfield
+from ._frozen import Frozen
 from .linalg import Mat, Vec, det, gram, kernel_basis, planes, rank, scale_planes
 
 
@@ -30,10 +30,6 @@ class LinearCode(Frozen):
     generator is reduced by ``linalg.rank``."""
 
     __slots__ = ("gen",)
-
-    def __init__(self, gen: Mat) -> None:
-        setfield(self, "gen", gen)
-        self.__post_init__()
 
     def __post_init__(self) -> None:
         gen, k = self.gen, self.gen.nrows
@@ -57,9 +53,6 @@ class WeightEnumerator(Frozen):
     """Codeword counts by Hamming weight, stored as sorted (w, A_w) pairs."""
 
     __slots__ = ("counts",)
-
-    def __init__(self, counts: tuple[tuple[int, int], ...]) -> None:
-        setfield(self, "counts", counts)
 
     @classmethod
     def from_dict(cls, d: dict[int, int]) -> "WeightEnumerator":

@@ -32,22 +32,13 @@ from __future__ import annotations
 # 0.45 us a call, a fifth of a small generator (2.1 us).
 import lcd2
 
-from ._frozen import Frozen, setfield
+from ._frozen import Frozen
 
 
-class ATuple(Frozen):
+class ATuple(Frozen, defaults={"a0": 0}):
     """Column multiplicities (a1..a5) of the construction, plus optional a0."""
 
     __slots__ = ("a1", "a2", "a3", "a4", "a5", "a0")
-
-    def __init__(self, a1: int, a2: int, a3: int, a4: int, a5: int, a0: int = 0) -> None:
-        setfield(self, "a1", a1)
-        setfield(self, "a2", a2)
-        setfield(self, "a3", a3)
-        setfield(self, "a4", a4)
-        setfield(self, "a5", a5)
-        setfield(self, "a0", a0)
-        self.__post_init__()
 
     def __post_init__(self) -> None:
         if min(self.a1, self.a2, self.a3, self.a4, self.a5, self.a0) < 0:
@@ -66,18 +57,6 @@ class BTuple(Frozen):
     """Image of an ATuple under b_i = (n - d) - a_i, with its slack delta."""
 
     __slots__ = ("b1", "b2", "b3", "b4", "b5", "delta", "n", "d")
-
-    def __init__(
-        self, b1: int, b2: int, b3: int, b4: int, b5: int, delta: int, n: int, d: int
-    ) -> None:
-        setfield(self, "b1", b1)
-        setfield(self, "b2", b2)
-        setfield(self, "b3", b3)
-        setfield(self, "b4", b4)
-        setfield(self, "b5", b5)
-        setfield(self, "delta", delta)
-        setfield(self, "n", n)
-        setfield(self, "d", d)
 
     @property
     def entries(self) -> tuple[int, int, int, int, int]:
@@ -124,8 +103,7 @@ def a_to_b(a: ATuple, n: int, d: int) -> BTuple:
     if a.n != n:
         raise ValueError(f"inconsistent length: tuple gives n = {a.n}, got {n}")
     t = n - d
-    b1, b2, b3, b4, b5 = (t - ai for ai in a.entries)
-    return BTuple(b1, b2, b3, b4, b5, delta(n, d), n, d)
+    return BTuple(*(t - ai for ai in a.entries), delta(n, d), n, d)
 
 
 def b_to_a(b: BTuple) -> ATuple:
@@ -224,14 +202,19 @@ def _b_window(dl: int, d: int) -> tuple[tuple[int, int, int, int, int], ...]:
     return rows
 
 
+def _require_move(a: ATuple) -> None:
+    """The equivalence moves act on tuples without zero columns."""
+    if a.a0 != 0:
+        raise ValueError("move requires a0 = 0")
+
+
 def move_swap345(a: ATuple) -> ATuple:
     """Equivalence move (a3, a4, a5) -> (a5, a3, a4).
 
     Realised by scaling the second generator row by w and renormalising
     columns; applying it three times is the identity.
     """
-    if a.a0 != 0:
-        raise ValueError("move requires a0 = 0")
+    _require_move(a)
     return ATuple(a.a1, a.a2, a.a5, a.a3, a.a4)
 
 
@@ -241,8 +224,7 @@ def move_add_row(a: ATuple) -> ATuple:
     Realised by adding the second generator row to the first and
     renormalising columns.
     """
-    if a.a0 != 0:
-        raise ValueError("move requires a0 = 0")
+    _require_move(a)
     if a.a3 < 1:
         raise ValueError(f"move requires a3 >= 1, got a3 = {a.a3}")
     return ATuple(a.a1, a.a3 - 1, a.a2 + 1, a.a5, a.a4)
@@ -254,8 +236,7 @@ def move_swap_rows(a: ATuple, d: int) -> ATuple:
     Realised by swapping the two generator rows; valid when the second
     row also has weight d, i.e. 1 + a1 + a3 + a4 + a5 = d.
     """
-    if a.a0 != 0:
-        raise ValueError("move requires a0 = 0")
+    _require_move(a)
     if 1 + a.a1 + a.a3 + a.a4 + a.a5 != d:
         raise ValueError(
             f"precondition violated: 1 + a1 + a3 + a4 + a5 = "
@@ -268,15 +249,6 @@ class Family(Frozen):
     """One-parameter family m -> (m + c1, .., m + c5) of optimal tuples."""
 
     __slots__ = ("label", "residue", "index", "offsets", "m_min")
-
-    def __init__(
-        self, label: str, residue: int, index: int, offsets: tuple[int, ...], m_min: int
-    ) -> None:
-        setfield(self, "label", label)
-        setfield(self, "residue", residue)
-        setfield(self, "index", index)
-        setfield(self, "offsets", offsets)
-        setfield(self, "m_min", m_min)
 
     def tuple_at(self, m: int) -> ATuple | None:
         """Instantiate at m, or None when some multiplicity would go negative."""
@@ -359,16 +331,11 @@ def _family_label(residue: int, index: int) -> str:
     return f"C_{{{stem},{index}}}"
 
 
-def _build_catalog() -> tuple[Family, ...]:
-    fams = []
-    for residue, rows in _FAMILY_OFFSETS.items():
-        for index, offsets in enumerate(rows, start=1):
-            m_min = max(0, -min(offsets))
-            fams.append(Family(_family_label(residue, index), residue, index, offsets, m_min))
-    return tuple(fams)
-
-
-_CATALOG = _build_catalog()
+_CATALOG = tuple(
+    Family(_family_label(residue, index), residue, index, offsets, max(0, -min(offsets)))
+    for residue, rows in _FAMILY_OFFSETS.items()
+    for index, offsets in enumerate(rows, start=1)
+)
 
 
 def family_catalog() -> tuple[Family, ...]:
@@ -388,14 +355,8 @@ def family_tuples(n: int) -> list[tuple[Family, ATuple]]:
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     m, residue = divmod(n, 5)
-    out = []
-    for fam in _CATALOG:
-        if fam.residue != residue:
-            continue
-        a = fam.tuple_at(m)
-        if a is not None:
-            out.append((fam, a))
-    return out
+    rows = (fam for fam in _CATALOG if fam.residue == residue)
+    return [(fam, a) for fam in rows if (a := fam.tuple_at(m)) is not None]
 
 
 def format_atuple(a: ATuple) -> str:

@@ -24,7 +24,7 @@ from __future__ import annotations
 from . import classify as cls
 from . import code as codeops
 from . import family as fam
-from ._frozen import Frozen, setfield
+from ._frozen import Frozen
 from .code import LinearCode, WeightEnumerator
 from .family import ATuple
 
@@ -69,16 +69,20 @@ _RESIDUE2_FORM_NOTE = (
 )
 
 
-def representative_weight_form(label: str, m: int) -> WeightEnumerator:
-    """The closed form at m: each stored pair's weight shifted by 4m.
+def _weight_form_counts(label: str, m: int) -> tuple[tuple[int, int], ...]:
+    """The (weight, count) pairs of the closed form at m: the zero word, then
+    each stored pair's weight shifted by 4m.
 
     The offsets of each form increase, and only forms of residues 0 and 1,
     which need m >= 1 for n >= 2, hold offsets below 1; so the shifted
     weights are positive and sorted."""
     four_m = 4 * m
-    return WeightEnumerator(
-        ((0, 1), *((four_m + off, cnt) for off, cnt in REPRESENTATIVE_WEIGHT_FORMS[label]))
-    )
+    return ((0, 1), *((four_m + off, cnt) for off, cnt in REPRESENTATIVE_WEIGHT_FORMS[label]))
+
+
+def representative_weight_form(label: str, m: int) -> WeightEnumerator:
+    """The closed form at m, as ``_weight_form_counts`` gives its pairs."""
+    return WeightEnumerator(_weight_form_counts(label, m))
 
 
 def expected_optimal_class_count(n: int) -> int:
@@ -96,19 +100,9 @@ def expected_optimal_class_count(n: int) -> int:
 class CheckResult(Frozen):
     __slots__ = ("id", "n", "passed", "detail")
 
-    def __init__(self, id: str, n: int, passed: bool, detail: str) -> None:
-        setfield(self, "id", id)
-        setfield(self, "n", n)
-        setfield(self, "passed", passed)
-        setfield(self, "detail", detail)
-
 
 class VerificationReport(Frozen):
     __slots__ = ("n_max", "checks")
-
-    def __init__(self, n_max: int, checks: tuple[CheckResult, ...]) -> None:
-        setfield(self, "n_max", n_max)
-        setfield(self, "checks", checks)
 
     @property
     def passed(self) -> bool:
@@ -174,7 +168,6 @@ def _check_chains(n: int, view: dict, chains: tuple) -> CheckResult:
 
 def _check_weight_forms(n: int, view: dict) -> CheckResult:
     m, residue = divmod(n, 5)
-    four_m = 4 * m
     problems = []
     seen: list[tuple[tuple[int, int], ...]] = []
     checked = 0
@@ -183,12 +176,10 @@ def _check_weight_forms(n: int, view: dict) -> CheckResult:
             continue
         gen = fam.build_generator(ATuple(*view[label][0]))
         computed = codeops.weight_enumerator(LinearCode(gen))
-        # The counts of representative_weight_form(label, m), which is built
-        # only for the message.
-        form = REPRESENTATIVE_WEIGHT_FORMS[label]
-        if computed.counts != ((0, 1), *((four_m + off, cnt) for off, cnt in form)):
-            expected = representative_weight_form(label, m)
-            problems.append(f"{label}: computed {computed} != form {expected}")
+        # The enumerator of the form is built only for the message.
+        form = _weight_form_counts(label, m)
+        if computed.counts != form:
+            problems.append(f"{label}: computed {computed} != form {WeightEnumerator(form)}")
         if computed.counts in seen:
             problems.append(f"{label}: weight enumerator repeats at n={n}")
         seen.append(computed.counts)
@@ -261,15 +252,24 @@ def _check_headline(n: int, plain: list, zero: list) -> CheckResult | None:
     return CheckResult("THM", n, ok, detail)
 
 
-# Largest T3 workload ``verify_classification`` accepts, in generator
-# columns.  T3 builds the representative codes of every length and
-# computes their weight enumerators in time linear in the length: 11
-# codes per five lengths, so about
-# 11 * n_max * (n_max + 1) / 10 columns in all.  The budget admits
-# n_max <= 1999 (``lcd2 verify --n-max 1999 --format csv`` takes 0.30 s at
-# least and 0.34 s in the median of 15 fresh processes on a shared 2-vCPU
-# x86-64 machine); every other check costs the same at each length.
+# Largest T3 workload ``verify_classification`` accepts, in the generator
+# columns ``_t3_columns`` bounds.  It admits n_max <= 1999 (``lcd2 verify
+# --n-max 1999 --format csv`` takes 0.30 s at least and 0.34 s in the median
+# of 15 fresh processes on a shared 2-vCPU x86-64 machine); every other
+# check costs the same at each length.
 VERIFY_BUDGET = 4_400_000
+
+
+def _t3_columns(n_max: int) -> int:
+    """An upper bound on the generator columns T3 builds at n = 2..n_max >= 7
+    (its time is linear in them): per residue r, its representatives times
+    the sum of the lengths n = r (mod 5) from r (r + 5 for r < 2) to n_max."""
+    total = 0
+    for residue, labels in cls.CLASS_REPRESENTATIVE_LABELS.items():
+        first = residue if residue >= 2 else residue + 5
+        count = (n_max - first) // 5 + 1
+        total += len(labels) * count * (2 * first + 5 * (count - 1)) // 2
+    return total
 
 
 def verify_classification(n_max: int) -> VerificationReport:
@@ -279,12 +279,12 @@ def verify_classification(n_max: int) -> VerificationReport:
     equivalence-chain collapse, T3 weight enumerator forms, T4 class
     counts against the census (with and without zero columns), and THM
     headline counts where applicable.  A failing check becomes a report
-    entry; n_max < 7, or a T3 estimate above ``VERIFY_BUDGET``, raises
+    entry; n_max < 7, or a T3 bound above ``VERIFY_BUDGET``, raises
     ValueError before any check runs.
     """
     if n_max < 7:
         raise ValueError(f"n_max must be >= 7, got {n_max}")
-    estimate = 11 * n_max * (n_max + 1) // 10
+    estimate = _t3_columns(n_max)
     if estimate > VERIFY_BUDGET:
         raise ValueError(
             f"verify up to n_max = {n_max} would build about {estimate} generator "

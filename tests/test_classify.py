@@ -901,6 +901,31 @@ def test_verify_classification_beyond_the_census_budget():
         verify_classification(2000)
 
 
+def test_the_verify_budget_bounds_the_columns_t3_builds(monkeypatch):
+    # One cumulative pass over T3 at n = 2..2000, counting the generator
+    # columns it builds, against the bound the budget is compared with.
+    built = []
+
+    def counted(a):
+        gen = build_generator(a)
+        built.append(gen.ncols)
+        return gen
+
+    monkeypatch.setattr(family_module, "build_generator", counted)
+    total = 0
+    for n in range(2, 2001):
+        assert verify_module._check_weight_forms(n, _catalog_view(n)).passed, n
+        total += sum(built)
+        built.clear()
+        if n >= 7:
+            assert verify_module._t3_columns(n) >= total, n
+        if n == 1999:
+            # The old estimate, 11 * n_max * (n_max + 1) // 10 = 4,397,800, fell short.
+            assert total == 4_399_673
+    assert verify_module._t3_columns(1999) == 4_399_798 <= verify_module.VERIFY_BUDGET
+    assert verify_module._t3_columns(2000) == 4_403_798 > verify_module.VERIFY_BUDGET
+
+
 def test_t3_builds_and_measures_the_representatives_far_past_the_verify_budget():
     for n in range(10**4, 10**4 + 5):
         check = verify_module._check_weight_forms(n, _catalog_view(n))

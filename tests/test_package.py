@@ -2,6 +2,7 @@
 
 import copy
 import importlib
+import inspect
 import json
 import os
 import pickle
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import lcd2
+from lcd2._frozen import Frozen
 from lcd2.classify import EquivClass, MultVector
 from lcd2.code import LinearCode, WeightEnumerator
 from lcd2.family import ATuple, BTuple, Family, family_catalog
@@ -177,10 +179,14 @@ def test_value_classes_behave_as_frozen_dataclasses(value, same, other, text):
 def test_value_classes_validate_their_fields():
     with pytest.raises(ValueError, match="expected 5 point multiplicities, got 2"):
         MultVector(0, (1, 2))
+    with pytest.raises(ValueError, match="expected 5 point multiplicities, got 2"):
+        MultVector(mp=(1, 2), m0=0)
     with pytest.raises(ValueError, match=r"negative multiplicity in MultVector\(m0=-1, "):
         MultVector(-1, (1, 1, 0, 0, 0))
     with pytest.raises(ValueError, match="is not a rank-2 canonical form"):
         EquivClass(MultVector(0, (2, 1, 0, 0, 0)))
+    with pytest.raises(ValueError, match="is not a rank-2 canonical form"):
+        EquivClass(label="x", canon=MultVector(0, (0, 0, 0, 0, 3)))
     with pytest.raises(ValueError, match="dimension 3 exceeds length 2"):
         LinearCode(Mat(((1, 0), (0, 1), (1, 1)), 2))
     with pytest.raises(ValueError, match="rank deficient"):
@@ -188,3 +194,76 @@ def test_value_classes_validate_their_fields():
     with pytest.raises(ValueError) as exc:
         ATuple(1, 2, 3, 4, 5, a0=-1)
     assert str(exc.value) == "negative multiplicity in ATuple(a1=1, a2=2, a3=3, a4=4, a5=5, a0=-1)"
+    with pytest.raises(ValueError, match=r"negative multiplicity in ATuple\(a1=1, "):
+        ATuple(a1=1, a2=2, a3=3, a4=4, a5=-5)
+
+
+# Each value class's constructor parameters, in order, and their defaults.
+CONSTRUCTORS = [
+    (MultVector, ("m0", "mp"), {}),
+    (EquivClass, ("canon", "label"), {"label": None}),
+    (ATuple, ("a1", "a2", "a3", "a4", "a5", "a0"), {"a0": 0}),
+    (BTuple, ("b1", "b2", "b3", "b4", "b5", "delta", "n", "d"), {}),
+    (Family, ("label", "residue", "index", "offsets", "m_min"), {}),
+    (LinearCode, ("gen",), {}),
+    (WeightEnumerator, ("counts",), {}),
+    (CheckResult, ("id", "n", "passed", "detail"), {}),
+    (VerificationReport, ("n_max", "checks"), {}),
+]
+
+
+@pytest.mark.parametrize("cls, names, defaults", CONSTRUCTORS, ids=[c[0].__name__ for c in CONSTRUCTORS])
+def test_generated_constructors_keep_their_signatures(cls, names, defaults):
+    params = inspect.signature(cls).parameters.values()
+    assert tuple(p.name for p in params) == names == cls.__slots__
+    assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params)
+    assert {p.name: p.default for p in params if p.default is not p.empty} == defaults
+    assert cls.__init__.__qualname__ == f"{cls.__name__}.__init__"
+
+
+@pytest.mark.parametrize("value", [s[0] for s in SAMPLES], ids=[type(s[0]).__name__ for s in SAMPLES])
+def test_value_classes_build_from_keywords_in_any_order(value):
+    fields = {name: getattr(value, name) for name in type(value).__slots__}
+    assert type(value)(**dict(reversed(fields.items()))) == value
+    with pytest.raises(TypeError):
+        type(value)(*fields.values(), None)
+    with pytest.raises(TypeError):
+        type(value)(**fields, extra=None)
+
+
+def test_generated_constructors_call_post_init_once(monkeypatch):
+    calls = []
+    for cls in (MultVector, EquivClass, ATuple, LinearCode):
+        monkeypatch.setattr(cls, "__post_init__", lambda self: calls.append(type(self).__name__))
+    EquivClass(MultVector(0, (1, 1, 1, 2, 2)))
+    ATuple(a5=1, a4=1, a3=1, a2=1, a1=1)
+    LinearCode(_GEN)
+    WeightEnumerator(((0, 1),))
+    assert calls == ["MultVector", "EquivClass", "ATuple", "LinearCode"]
+    # The classes without a validation hook get a constructor that calls none.
+    for cls, *_ in CONSTRUCTORS:
+        if cls.__name__ not in calls:
+            assert not hasattr(cls, "__post_init__"), cls
+
+
+def test_mat_keeps_its_converting_constructor():
+    rows = Mat([[1, 0, 1], bytearray((0, 1, 3))], ncols=3).rows
+    assert rows == (b"\x01\x00\x01", b"\x00\x01\x03") and all(type(r) is bytes for r in rows)
+    assert list(inspect.signature(Mat).parameters) == ["rows", "ncols"]
+    assert Mat.__init__.__code__.co_filename == lcd2.linalg.__file__
+
+
+def test_frozen_defaults_must_name_the_last_fields_in_order():
+    for defaults in ({"x": 0}, {"y": 0, "x": 0}, {"z": 0}, {"y": 0, "z": 0}):
+        with pytest.raises(TypeError, match="are not its last fields"):
+
+            class Bad(Frozen, defaults=defaults):
+                __slots__ = ("x", "y")
+
+    # A default reaches the constructor as the object itself, not as its repr.
+    marker = object()
+
+    class Pair(Frozen, defaults={"x": 1, "y": marker}):
+        __slots__ = ("x", "y")
+
+    assert Pair().y is marker and Pair(y=2) == Pair(1, 2) and Pair(2).x == 2
