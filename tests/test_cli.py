@@ -33,11 +33,12 @@ from lcd2.classify import (
     MultVector,
     canonical_form,
     census,
+    census_forms,
     census_runs,
     classify_optimal,
     code_to_multvector,
 )
-from lcd2.cli import _COMMANDS, _csv_field, _emit_classes, _parse, main
+from lcd2.cli import _BATCH_ROWS, _COMMANDS, _csv_field, _emit_classes, _parse, main
 from lcd2.code import LinearCode
 from lcd2.family import ATuple, build_generator, dmax, enumerate_optimal, family_catalog
 from lcd2.linalg import format_matrix
@@ -228,6 +229,17 @@ FILTERS = ("all", "lcd", "optimal_lcd")
 # Lengths the census and classify reference-rendering tests walk.
 CENSUS_LENGTHS = range(2, 31)
 CLASSIFY_LENGTHS = range(2, 41)
+# No optimal_lcd row writes both of its last two parts' terms, so classify
+# writes no labelled row of that shape; this census is written with labels
+# on every other class instead.
+LABELLED_CENSUS = (24, "lcd", True)
+
+
+def every_other_label(n, filt, zero):
+    """Labels, each holding a comma as catalog labels do, for every other
+    form of the census."""
+    forms = census_forms(n, filt, zero)
+    return {form: f"t{i},x" for i, form in enumerate(forms) if i % 2 == 0}
 
 
 @pytest.mark.parametrize("zero", [False, True])
@@ -278,12 +290,26 @@ def test_classify_at_huge_lengths_matches_the_reference_rendering(capsys):
             assert out == render_classes(classes, fmt, header), (n, zero, fmt)
 
 
+def test_labelled_census_matches_the_reference_rendering(capsys):
+    n, filt, zero = LABELLED_CENSUS
+    labels = every_other_label(n, filt, zero)
+    classes = [
+        EquivClass(c.canon, labels.get((c.canon.m0, c.canon.mp))) for c in census(n, filt, zero)
+    ]
+    runs = list(census_runs(n, filt, zero))
+    for fmt in FORMATS:
+        _emit_classes(n, runs, labels, fmt, "header")
+        assert capsys.readouterr().out == render_classes(classes, fmt, "header"), fmt
+
+
 def test_reference_renderings_reach_every_case_the_writer_treats_apart():
     # The runs the census and classify reference tests above walk hold each
     # case _emit_classes writes differently (each prefix, head and run shape,
     # each merge of a row's terms, labels, the reuse of a prefix's text and
-    # its rebuilding at a new m0), so their byte-identity reaches every
-    # branch of the writer.
+    # its rebuilding at a new m0, a census in one batch and one whose batch
+    # ends inside a run), so their byte-identity, in every format, reaches
+    # every branch of the writer.  The labelled census test adds labelled
+    # rows that write both terms of their last two parts.
     walks = [
         (n, filt, zero, {}) for n in CENSUS_LENGTHS for filt in FILTERS for zero in (False, True)
     ]
@@ -292,11 +318,17 @@ def test_reference_renderings_reach_every_case_the_writer_treats_apart():
         for n in CLASSIFY_LENGTHS
         for zero in (False, True)
     ]
+    walks.append((*LABELLED_CENSUS, every_other_label(*LABELLED_CENSUS)))
     seen = set()
     for n, filt, zero, labels in walks:
         last = None
+        held = count = 0  # rows the writer holds, and in all
         for m0, p0, p1, p2, xs in census_runs(n, filt, zero):
             r = n - m0 - p0 - p1 - p2
+            count += len(xs)
+            if held + len(xs) > _BATCH_ROWS:
+                seen.add("run inside which the rows held pass a batch's bound")
+            held = 0 if held + len(xs) >= _BATCH_ROWS else held + len(xs)
             if last is not None and m0 != last[0]:
                 seen.add("run whose m0 differs from the previous run's")
                 if (p0, p1, p2) == last[1:]:
@@ -328,6 +360,10 @@ def test_reference_renderings_reach_every_case_the_writer_treats_apart():
                 if labels:
                     key = (m0, (p0, p1, p2, x, r - x))
                     seen.add("labelled row" if key in labels else "unlabelled row")
+                    if key in labels and x != r - x and min(x, r - x) != p2:
+                        seen.add("labelled row with no merge")
+        if 0 < count < _BATCH_ROWS:
+            seen.update(f"census shorter than one batch, in {fmt}" for fmt in FORMATS)
     assert seen == {
         "run whose m0 differs from the previous run's",
         "run at a new m0 whose (p0, p1, p2) equals the previous run's",
@@ -347,6 +383,9 @@ def test_reference_renderings_reach_every_case_the_writer_treats_apart():
         "p1 = 0 run with three zero parts",
         "labelled row",
         "unlabelled row",
+        "labelled row with no merge",
+        "run inside which the rows held pass a batch's bound",
+        *(f"census shorter than one batch, in {fmt}" for fmt in FORMATS),
     }
 
 
@@ -405,6 +444,32 @@ def test_empty_class_list_output(capsys):
         assert capsys.readouterr().out == render_classes([], fmt, "header")
     _emit_classes(2, [], {}, "json", "header")
     assert capsys.readouterr().out == "[]\n"
+
+
+def test_census_writes_its_rows_in_bounded_batches(monkeypatch):
+    # Each write but the last two ends a batch of whole runs holding at least
+    # _BATCH_ROWS rows, so a census goes out in a few writes while no write
+    # holds more than a batch and one run.
+    class Recorder:
+        def __init__(self):
+            self.writes = []
+
+        def write(self, text):
+            self.writes.append(text)
+            return len(text)
+
+    runs = list(census_runs(42, "all"))
+    classes = census(42, "all")
+    assert len(classes) == 2892 > 2 * _BATCH_ROWS
+    header = f"n=42 filter=all classes={len(classes)} include_zero_columns=false"
+    out = Recorder()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["census", "42", "--filter", "all", "--format", "json"]) == 0
+    assert "".join(out.writes) == render_classes(classes, "json", header)
+    assert len(out.writes) <= math.ceil(len(classes) / _BATCH_ROWS) + 2
+    longest = max(len(xs) for *_, xs in runs)
+    # Each JSON class object holds one '"n": ' key.
+    assert max(write.count('"n": ') for write in out.writes) <= _BATCH_ROWS + longest
 
 
 def test_streamed_reference_rendering_equals_render_classes():
