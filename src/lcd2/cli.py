@@ -78,38 +78,48 @@ def _emit_classes(n: int, runs: list, labels: dict, fmt: str, header: str):
     to stdout in ``fmt``, labelled by ``labels``: one write per batch of
     whole runs holding at least ``_BATCH_ROWS`` rows, and one for the rest.
 
-    A call formats each number and enumerator term it writes once.  A
-    change of m0 builds the text that depends on m0 alone, and ``mid``, the
-    text from the label to a common row's first term.  A run with a new
-    (m0, p0, p1, p2) builds its prefix, its enumerator tail (the terms
-    of p2 >= p1 >= p0: (t - p2, c0), c0 = 3, 6 or 9 by how many parts equal
-    p2, then the rest), ``end``, the text after a common row's second term,
-    and, when p1 > 0, its representative head; a mirrored run, which comes
-    right after the sorted run of its prefix, reuses them.  lo, the smaller
+    A walked census, whose runs outnumber the numbers 0..n, formats every
+    number and term up front into the lists ``num`` and ``terms``, and none
+    per run; a table census memoises the few it writes in ``num`` and
+    ``terms``, on the same keys.  A change of m0 builds the text that
+    depends on m0 alone, and ``mid``, the text from the label to a common
+    row's first term.  A run with a new (m0, p0, p1, p2) builds its prefix,
+    its enumerator tail (the terms of p2 >= p1 >= p0: (t - p2, c0), c0 = 3,
+    6 or 9 by how many parts equal p2, then the rest), ``end``, the text
+    after a common row's second term, and, when p1 > 0, its representative
+    head; a mirrored run, which comes right after the sorted run of its
+    prefix, reuses them.  lo, the smaller
     of x and r - x, is x throughout a sorted run and r - x throughout a
     mirrored one.  A row writes d = t - (r - lo) and its terms, merging
     coinciding parts: 3y^d, 3y^(t - lo) and the tail, written into the row's
     one string; 3y^d, (t - p2, c0 + 3) and the rest for lo = p2;
     6y^(t - lo) and the tail for x = r - x; (t - p2, c0 + 6) and the rest
     for both.  When p1 = 0 a row adds its own ``representative_entries``; a
-    row in ``labels`` adds its label, and ``mid`` is rebuilt per row.
-    JSON is ``json.dumps(classes, indent=2)`` of the README schema's class
-    objects; CSV is what ``csv.writer`` writes; text is the header and one
-    line per class.
+    row in ``labels`` adds its label, and a labelled common row rebuilds
+    ``mid``.  JSON is ``json.dumps(classes, indent=2)`` of the README
+    schema's class objects; CSV is what ``csv.writer`` writes; text is the
+    header and one line per class.
     """
     out = sys.stdout
     json_fmt, text = fmt == "json", fmt == "text"
-    # A term's key is its (w, A_w).
-    if json_fmt:
-        terms = _Memo(lambda key: f',\n      "{key[0]}": {key[1]}')
+    # Every number written lies in 0..n; the term c y^w (c = 3, 6, 9, 12 or
+    # 15) has the key w << 4 | c.  A walked census writes nearly all of them,
+    # so it formats them up front (by f-string: str.format took three times
+    # as long).  A table census (at most 6 runs, n up to 10^20) writes a few,
+    # many of its numbers more than once, so it memoises them: taking ints
+    # from range(n + 1) instead, to be formatted at each use, made its
+    # writer about 5% slower than with the memo.
+    if len(runs) > n:
+        num = list(map(str, range(n + 1)))
+        terms = [""] * (16 * n + 16)
+        for c in ("3", "6", "9", "12", "15"):
+            terms[int(c)::16] = [f',\n      "{w}": {c}' if json_fmt else f"+{c}y^{w}" for w in num]
     else:
-        terms = _Memo(lambda key: f"+{key[1]}y^{key[0]}")
-    # Every number written lies in 0..n.  A walked census, whose runs
-    # outnumber them, writes nearly all of them, so it formats them up
-    # front into a list, whose lookups are cheaper than the memo's (census-bulk
-    # wall time is 10-15% lower than with the memo alone); a table census
-    # writes a few and memoises those.
-    num = list(map(str, range(n + 1))) if len(runs) > n else _Memo(str)
+        num = _Memo(str)
+        if json_fmt:
+            terms = _Memo(lambda k: f',\n      "{k >> 4}": {k & 15}')
+        else:
+            terms = _Memo(lambda k: f"+{k & 15}y^{k >> 4}")
     # Every label holds a comma and no quote, backslash or non-ASCII
     # character, so the literal quotes are what json.dumps and csv.writer write.
     quote = str if text else '"{}"'.format
@@ -151,19 +161,20 @@ def _emit_classes(n: int, runs: list, labels: dict, fmt: str, header: str):
         r = t - q
         if p2 != last_p2 or p1 != last_p1 or p0 != last_p0:
             last_p0, last_p1, last_p2 = p0, p1, p2
-            prefix = f"{mp_open}{p0}{mp_sep}{p1}{mp_sep}{p2}{mp_sep}"
-            w0, c0 = t - p2, 3 + 3 * (p1 == p2) + 3 * (p0 == p2)
-            rest = terms[t - p1, 6 if p0 == p1 else 3] if p1 < p2 else ""
+            prefix = f"{mp_open}{num[p0]}{mp_sep}{num[p1]}{mp_sep}{num[p2]}{mp_sep}"
+            c0 = 3 + 3 * (p1 == p2) + 3 * (p0 == p2)
+            k0 = (t - p2) << 4 | c0  # the key of (t - p2, c0)
+            rest = terms[(t - p1) << 4 | (6 if p0 == p1 else 3)] if p1 < p2 else ""
             if p0 < p1:
-                rest += terms[t - p0, 3]
-            tail = terms[w0, c0] + rest
+                rest += terms[(t - p0) << 4 | 3]
+            tail = terms[k0] + rest
             end = end3 + tail + close
             if p1:
                 # representative_entries' rotation, which with at most one
                 # zero part moves (p1, p2) ahead of p0 = 0 and leaves p0 > 0
                 # in place.
                 a1, a2, a3 = (p2 - 1, p1 - 1, 0) if p0 == 0 else (p1 - 1, p0 - 1, p2)
-                head = f"{head_open}{a1}{a_sep}{a2}{a_sep}{a3}{a_sep}"
+                head = f"{head_open}{num[a1]}{a_sep}{num[a2]}{a_sep}{num[a3]}{a_sep}"
         lo_is_x = 2 * xs[0] <= r
         for x in xs:
             y = r - x
@@ -177,12 +188,13 @@ def _emit_classes(n: int, runs: list, labels: dict, fmt: str, header: str):
             if labels:
                 found = labels.get((m0, (p0, p1, p2, x, y)))
                 label = none if found is None else quote(found)
-                mid = before + label + after + open3
+                if x != y and lo != p2:
+                    mid = before + label + after + open3
             if x == y or lo == p2:
                 if x == y:
-                    we = terms[w0, c0 + 6] + rest if lo == p2 else terms[t - lo, 6] + tail
+                    we = terms[k0 + 6] + rest if lo == p2 else terms[(t - lo) << 4 | 6] + tail
                 else:
-                    we = f"{open3}{sd}{end3}{terms[w0, c0 + 3]}{rest}"
+                    we = f"{open3}{sd}{end3}{terms[k0 + 3]}{rest}"
                 if text:
                     rows.append(
                         f"{prefix}{sx}{mp_sep}{sy} d={sd}{head}{a4}{a_sep}{a5}"
@@ -278,11 +290,13 @@ def _write_census(args: SimpleNamespace, filt: str, labels: dict, kind: str) -> 
     """The census of ``args.n`` under ``filt``, labelled by ``labels``, after
     a header whose class count follows ``kind``."""
     runs = list(cls.census_runs(args.n, filt, args.include_zero_columns))
-    count = sum(len(run[4]) for run in runs)
-    header = (
-        f"n={args.n} {kind} classes={count} "
-        f"include_zero_columns={str(args.include_zero_columns).lower()}"
-    )
+    header = ""  # only text prints it
+    if args.format == "text":
+        count = sum(len(run[4]) for run in runs)
+        header = (
+            f"n={args.n} {kind} classes={count} "
+            f"include_zero_columns={str(args.include_zero_columns).lower()}"
+        )
     _emit_classes(args.n, runs, labels, args.format, header)
     return 0
 

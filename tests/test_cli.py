@@ -277,9 +277,10 @@ def test_classify_output_matches_the_reference_rendering(capsys):
 
 
 def test_classify_at_huge_lengths_matches_the_reference_rendering(capsys):
-    # Labelled rows with zero columns and weights near 10^9, beyond the
-    # lengths the reference test above reaches.
-    for n, zero in ((1000000004, True), (1000001, False)):
+    # Labelled rows with zero columns and weights near 10^9 and 10^20, beyond
+    # the lengths the reference test above reaches; the writer's numbers at
+    # 10^20 lie past the machine word.
+    for n, zero in ((1000000004, True), (1000001, False), (10**20 + 4, True)):
         classes = classify_optimal(n, zero)
         assert any(c.label for c in classes) and any(c.canon.m0 for c in classes) == zero
         header = f"n={n} optimal classes={len(classes)} include_zero_columns={str(zero).lower()}"
@@ -309,7 +310,9 @@ def test_reference_renderings_reach_every_case_the_writer_treats_apart():
     # its rebuilding at a new m0, a census in one batch and one whose batch
     # ends inside a run), so their byte-identity, in every format, reaches
     # every branch of the writer.  The labelled census test adds labelled
-    # rows that write both terms of their last two parts.
+    # rows that write both terms of their last two parts.  A walked census
+    # (more runs than n) reads its terms from a table filled per count, so
+    # the walks write each count; a table census reads them from a memo.
     walks = [
         (n, filt, zero, {}) for n in CENSUS_LENGTHS for filt in FILTERS for zero in (False, True)
     ]
@@ -323,8 +326,12 @@ def test_reference_renderings_reach_every_case_the_writer_treats_apart():
     for n, filt, zero, labels in walks:
         last = None
         held = count = 0  # rows the writer holds, and in all
-        for m0, p0, p1, p2, xs in census_runs(n, filt, zero):
+        runs = list(census_runs(n, filt, zero))
+        for m0, p0, p1, p2, xs in runs:
             r = n - m0 - p0 - p1 - p2
+            # The counts of the terms of the run's tail: (t - p2, c0), then the rest.
+            c0 = 3 + 3 * (p1 == p2) + 3 * (p0 == p2)
+            rest = [6 if p0 == p1 else 3] * (p1 < p2) + [3] * (p0 < p1)
             count += len(xs)
             if held + len(xs) > _BATCH_ROWS:
                 seen.add("run inside which the rows held pass a batch's bound")
@@ -357,6 +364,14 @@ def test_reference_renderings_reach_every_case_the_writer_treats_apart():
                         seen.add("row with x == y == p2")
                 elif min(x, r - x) != p2:
                     seen.add("row with no merge")
+                if min(x, r - x) == p2:
+                    written = [c0 + 3 + 3 * (x == r - x), *rest]
+                else:
+                    written = [6] * (x == r - x) + [c0, *rest]
+                if len(runs) > n:
+                    seen.update(f"term of count {c} in a walked census" for c in written)
+                else:
+                    seen.add("term written through the memo in a table census")
                 if labels:
                     key = (m0, (p0, p1, p2, x, r - x))
                     seen.add("labelled row" if key in labels else "unlabelled row")
@@ -386,6 +401,8 @@ def test_reference_renderings_reach_every_case_the_writer_treats_apart():
         "labelled row with no merge",
         "run inside which the rows held pass a batch's bound",
         *(f"census shorter than one batch, in {fmt}" for fmt in FORMATS),
+        *(f"term of count {c} in a walked census" for c in (3, 6, 9, 12, 15)),
+        "term written through the memo in a table census",
     }
 
 
