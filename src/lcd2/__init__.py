@@ -20,7 +20,6 @@ _EXPORTS = {
         "codewords",
         "extend_with_zero",
         "has_zero_coordinate",
-        "hermitian_dual",
         "hull_dimension",
         "is_hermitian_lcd",
         "min_weight",
@@ -61,7 +60,6 @@ _EXPORTS = {
         "det",
         "gram",
         "hermitian_inner",
-        "kernel_basis",
         "mat",
         "parse_matrix",
         "rank",

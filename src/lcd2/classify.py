@@ -151,10 +151,6 @@ def _atuple_mp(entries: tuple[int, ...]) -> tuple[int, int, int, int, int]:
     return (1 + a2, 1 + a1, a3, a4, a5)
 
 
-def multvector_of_atuple(a: ATuple) -> MultVector:
-    return MultVector(a.a0, _atuple_mp(a.entries))
-
-
 def induced_point_permutations() -> tuple[tuple[int, ...], ...]:
     """Permutations of the 5 points induced by invertible 2 x 2 matrices.
 

@@ -4,9 +4,10 @@ A ``LinearCode`` wraps a k x n generator matrix of rank k.  Rows that
 open with the identity block I_k have rank k, so such a generator (every
 ``family.build_generator`` output) is accepted without elimination; any
 other generator is proven by ``linalg.rank``.  The zero code is allowed
-as a 0 x n matrix so that the Hermitian dual is total and rank-nullity
-stays testable.  The weight enumerator walks one word
-per scalar class {v, w*v, w2*v} of nonzero codewords, (4^k - 1)/3 words
+as a 0 x n matrix, since it is a subspace like any other: it has the one
+codeword 0, hull dimension 0 and every coordinate zero, and only
+``min_weight`` refuses it.  The weight enumerator walks one word per
+scalar class {v, w*v, w2*v} of nonzero codewords, (4^k - 1)/3 words
 held as the two int bit planes of ``linalg.planes`` in the basis {1, w}
 of ``gf4``: addition is XOR, scaling swaps and XORs the planes, and a
 weight is the bit count of their OR.  The minimum weight is the
@@ -19,7 +20,7 @@ import itertools
 
 from . import gf4
 from ._frozen import Frozen
-from .linalg import Mat, Vec, det, gram, kernel_basis, planes, rank, scale_planes
+from .linalg import Mat, Vec, det, gram, planes, rank, scale_planes
 
 
 class LinearCode(Frozen):
@@ -53,13 +54,6 @@ class WeightEnumerator(Frozen):
     """Codeword counts by Hamming weight, stored as sorted (w, A_w) pairs."""
 
     __slots__ = ("counts",)
-
-    @classmethod
-    def from_dict(cls, d: dict[int, int]) -> "WeightEnumerator":
-        return cls(tuple(sorted((w, c) for w, c in d.items() if c)))
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.counts)
 
     def total(self) -> int:
         return sum(c for _, c in self.counts)
@@ -137,11 +131,6 @@ def weight_enumerator(c: LinearCode) -> WeightEnumerator:
             span += [(l ^ a, h ^ b) for a, b in multiples for l, h in span]
     # The rows are independent, so no word of the walk is zero.
     return WeightEnumerator(((0, 1), *sorted(tally.items())))
-
-
-def hermitian_dual(c: LinearCode) -> LinearCode:
-    """The (n-k)-dimensional code of vectors Hermitian-orthogonal to c."""
-    return LinearCode(kernel_basis(c.gen))
 
 
 def hull_dimension(c: LinearCode) -> int:

@@ -256,9 +256,6 @@ class Family(Frozen):
             return None
         return ATuple(*(m + c for c in self.offsets))
 
-    def n_at(self, m: int) -> int:
-        return 5 * m + self.residue
-
 
 # Offsets per residue class of n, in catalog order.  Row i of residue r is
 # the family named C_{5m+r, i}; sum(offsets) = residue - 2 so that
@@ -341,13 +338,6 @@ _CATALOG = tuple(
 def family_catalog() -> tuple[Family, ...]:
     """The 49 one-parameter families of optimal tuples, in catalog order."""
     return _CATALOG
-
-
-def family_by_label(label: str) -> Family:
-    for fam in _CATALOG:
-        if fam.label == label:
-            return fam
-    raise KeyError(label)
 
 
 def family_tuples(n: int) -> list[tuple[Family, ATuple]]:

@@ -3,9 +3,9 @@
 Elements are encoded as the integers 0..3 standing for {0, 1, w, w2},
 where w satisfies w^2 + w + 1 = 0 and w2 = w^2 = w + 1.  In the basis
 {1, w} this encoding is the pair of bit coordinates, so addition is
-bitwise XOR; multiplication, conjugation and inversion are four-entry
-lookup tables.  All operations are pure functions on small ints and are
-safe to use concurrently.
+bitwise XOR; multiplication, conjugation and inversion are the
+read-only lookup tables ``MUL``, ``CONJ`` and ``INV``, indexed by
+element.
 """
 
 from __future__ import annotations
@@ -29,38 +29,11 @@ MUL = (
 # Frobenius map x -> x^2: swaps w and w2, fixes 0 and 1.
 CONJ = (0, 1, 3, 2)
 
-# inv(x) = x^2 for nonzero x; INV[0] is a sentinel, guarded in inv().
+# INV[x] = x^2 is the inverse of nonzero x; INV[0] is a placeholder that
+# no reader indexes, since 0 has no inverse.
 INV = (0, 1, 3, 2)
 
-
-def add(x: int, y: int) -> int:
-    """Sum of two elements (characteristic 2: XOR in this encoding)."""
-    return x ^ y
-
-
-def mul(x: int, y: int) -> int:
-    """Product of two elements."""
-    return MUL[x][y]
-
-
-def conj(x: int) -> int:
-    """Conjugate x -> x^2."""
-    return CONJ[x]
-
-
-def inv(x: int) -> int:
-    """Multiplicative inverse; raises ZeroDivisionError on 0."""
-    if x == 0:
-        raise ZeroDivisionError("0 has no inverse in GF(4)")
-    return INV[x]
-
-
 SYMBOLS = ("0", "1", "w", "w2")
-
-
-def format_element(x: int) -> str:
-    """ASCII symbol of an element: "0", "1", "w" or "w2"."""
-    return SYMBOLS[x]
 
 
 def parse_element(text: str) -> int:

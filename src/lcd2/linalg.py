@@ -11,9 +11,7 @@ b0 + b1*w) and, shifted by one, its w-coordinates (b1).  Adding rows is
 XOR on the planes and a weight is a bit count.
 
 The Hermitian inner product of u and v is sum_i u_i * conj(v_i).  It is
-conjugate-symmetric, and a vector x is Hermitian-orthogonal to all rows
-of G exactly when x lies in the ordinary right null space of the
-entrywise conjugate of G; ``kernel_basis`` relies on that reduction.
+conjugate-symmetric.
 """
 
 from __future__ import annotations
@@ -103,13 +101,6 @@ def hermitian_inner(u: Vec, v: Vec) -> int:
     return acc
 
 
-_CONJ = bytes.maketrans(b"\x02\x03", b"\x03\x02")
-
-
-def conj_entries(m: Mat) -> Mat:
-    return Mat([row.translate(_CONJ) for row in m.rows], m.ncols)
-
-
 def conj_transpose(m: Mat) -> Mat:
     """Entrywise conjugate of the transpose; result[i][j] = conj(m[j][i])."""
     return Mat(
@@ -148,9 +139,9 @@ def scale_planes(s: int, lo: int, hi: int) -> tuple[int, int]:
     return (hi, lo ^ hi) if s == 2 else (lo ^ hi, lo)
 
 
-def _eliminate(m: Mat) -> tuple[list[tuple[int, int]], list[int], int]:
-    """Gauss-Jordan elimination on the bit planes: reduced rows as planes,
-    pivot columns, pivot product.
+def _eliminate(m: Mat) -> tuple[int, int]:
+    """Gauss-Jordan elimination on the bit planes: the number of pivots and
+    their product.
 
     Pivots are chosen as the first nonzero entry scanning columns left to
     right, rows top to bottom, so the result is identical on every
@@ -158,7 +149,7 @@ def _eliminate(m: Mat) -> tuple[list[tuple[int, int]], list[int], int]:
     scaled to 1.  Each step is a few operations per row on whole planes.
     """
     rows = planes(m)
-    pivots: list[int] = []
+    pivots = 0
     product = 1
     for r in range(len(rows)):
         rest = 0
@@ -181,19 +172,12 @@ def _eliminate(m: Mat) -> tuple[list[tuple[int, int]], list[int], int]:
             if (l & bit or h & bit) and i != r:
                 fl, fh = scale_planes((1 if l & bit else 0) | (2 if h & bit else 0), lo, hi)
                 rows[i] = l ^ fl, h ^ fh
-        pivots.append(bit.bit_length() >> 3)
-    return rows, pivots, product
-
-
-def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
-    """Reduced row echelon form and its pivot columns."""
-    rows, pivots, _ = _eliminate(m)
-    n = m.ncols
-    return Mat([(lo | hi << 1).to_bytes(n, "little") for lo, hi in rows], n), tuple(pivots)
+        pivots += 1
+    return pivots, product
 
 
 def rank(m: Mat) -> int:
-    return len(_eliminate(m)[1])
+    return _eliminate(m)[0]
 
 
 def det(m: Mat) -> int:
@@ -205,30 +189,8 @@ def det(m: Mat) -> int:
     """
     if m.nrows != m.ncols:
         raise ValueError(f"determinant of a non-square {m.nrows}x{m.ncols} matrix")
-    _, pivots, product = _eliminate(m)
-    return product if len(pivots) == m.nrows else 0
-
-
-def kernel_basis(m: Mat) -> Mat:
-    """Basis of { x : (x, g)_h = 0 for every row g of m }, in RREF.
-
-    Solving sum_i x_i * conj(g_i) = 0 means taking the ordinary right
-    null space of the entrywise conjugate of m.  The returned matrix has
-    n - rank(m) rows of length n.
-    """
-    n = m.ncols
-    reduced, pivots = rref(conj_entries(m))
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(n) if c not in pivot_set]
-    basis = []
-    for f in free_cols:
-        x = [0] * n
-        x[f] = 1
-        for i, p in enumerate(pivots):
-            x[p] = reduced.rows[i][f]
-        basis.append(x)
-    out, _ = rref(Mat(basis, n))
-    return out
+    pivots, product = _eliminate(m)
+    return product if pivots == m.nrows else 0
 
 
 def format_matrix(m: Mat) -> str:

@@ -80,11 +80,6 @@ def _weight_form_counts(label: str, m: int) -> tuple[tuple[int, int], ...]:
     return ((0, 1), *((four_m + off, cnt) for off, cnt in REPRESENTATIVE_WEIGHT_FORMS[label]))
 
 
-def representative_weight_form(label: str, m: int) -> WeightEnumerator:
-    """The closed form at m, as ``_weight_form_counts`` gives its pairs."""
-    return WeightEnumerator(_weight_form_counts(label, m))
-
-
 def expected_optimal_class_count(n: int) -> int:
     """Known number of optimal classes with no zero column at length n."""
     if n < 2:

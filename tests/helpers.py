@@ -18,9 +18,9 @@ import random
 
 from lcd2 import gf4
 from lcd2 import classify as cls
-from lcd2.classify import EquivClass, _atuple_mp, _canonical_mp, representative_atuple
+from lcd2.classify import EquivClass, MultVector, _atuple_mp, _canonical_mp, representative_atuple
 from lcd2.code import LinearCode
-from lcd2.family import ATuple, _parity_condition, delta, dmax, family_tuples
+from lcd2.family import ATuple, Family, _parity_condition, delta, dmax, family_catalog, family_tuples
 from lcd2.linalg import Mat, mat, rank
 from lcd2.verify import VerificationReport
 
@@ -65,7 +65,8 @@ def brute_min_weight(gen: Mat) -> int:
     return min(sum(1 for e in w if e) for w in brute_codewords(gen) if any(w))
 
 
-def _brute_inner(u, v) -> int:
+def brute_inner(u, v) -> int:
+    """sum_i u_i * conj(v_i), read entry by entry from the tables."""
     acc = 0
     for x, y in zip(u, v):
         acc ^= gf4.MUL[x][gf4.CONJ[y]]
@@ -82,7 +83,7 @@ def brute_hull_dimension(c: LinearCode) -> int:
     size = sum(
         1
         for w in brute_codewords(c.gen)
-        if all(_brute_inner(w, row) == 0 for row in c.gen.rows)
+        if all(brute_inner(w, row) == 0 for row in c.gen.rows)
     )
     dim = 0
     while 4**dim < size:
@@ -186,6 +187,16 @@ def cube_optimal_tuples(n: int) -> list[ATuple]:
                 out.append(ATuple(*entries))
     out.sort(key=lambda a: a.entries)
     return out
+
+
+def catalog_family(label: str) -> Family:
+    """The catalog row named ``label``."""
+    return next(f for f in family_catalog() if f.label == label)
+
+
+def atuple_multvector(a: ATuple) -> MultVector:
+    """The zero columns and point multiplicities of ``build_generator(a)``."""
+    return MultVector(a.a0, _atuple_mp(a.entries))
 
 
 def catalog_view_reference(n: int) -> dict:

@@ -8,6 +8,8 @@ import json
 import random
 
 from helpers import (
+    atuple_multvector,
+    catalog_family,
     equivalent_by_search,
     random_equivalent_image,
     random_rank2_matrix,
@@ -22,7 +24,6 @@ from lcd2.classify import (
     classify_optimal,
     code_to_multvector,
     induced_point_permutations,
-    multvector_of_atuple,
     multvector_to_code,
 )
 from lcd2.cli import main
@@ -41,11 +42,10 @@ from lcd2.family import (
     check_lcd_conditions_b,
     dmax,
     enumerate_optimal,
-    family_by_label,
     family_catalog,
     family_tuples,
 )
-from lcd2.verify import EQUIV_CHAINS, REPRESENTATIVE_WEIGHT_FORMS, representative_weight_form
+from lcd2.verify import EQUIV_CHAINS, REPRESENTATIVE_WEIGHT_FORMS, _weight_form_counts
 
 
 def _report(name: str, ok: bool, detail: str = "") -> None:
@@ -154,7 +154,7 @@ def test_c05_equivalence_chain_reproduction():
                 if m < m_min:
                     continue
                 members = {
-                    canonical_form(multvector_of_atuple(by_key[(residue, i)].tuple_at(m)))
+                    canonical_form(atuple_multvector(by_key[(residue, i)].tuple_at(m)))
                     for i in chain
                     if by_key[(residue, i)].tuple_at(m) is not None
                 }
@@ -173,22 +173,22 @@ def test_c05_equivalence_chain_reproduction():
 def test_c06_weight_enumerator_forms():
     problems = []
     for label in REPRESENTATIVE_WEIGHT_FORMS:
-        fam = family_by_label(label)
+        fam = catalog_family(label)
         for m in range(fam.m_min, 11):
             a = fam.tuple_at(m)
             computed = weight_enumerator(LinearCode(build_generator(a)))
-            if computed != representative_weight_form(label, m):
+            if computed.counts != _weight_form_counts(label, m):
                 problems.append((label, m, computed.poly_string()))
     # forms valid at the same length stay pairwise distinct
     for residue in range(5):
-        labels = [l for l in REPRESENTATIVE_WEIGHT_FORMS if family_by_label(l).residue == residue]
+        labels = [l for l in REPRESENTATIVE_WEIGHT_FORMS if catalog_family(l).residue == residue]
         for m in range(0, 11):
             forms = [
-                representative_weight_form(l, m)
+                _weight_form_counts(l, m)
                 for l in labels
-                if family_by_label(l).tuple_at(m) is not None
+                if catalog_family(l).tuple_at(m) is not None
             ]
-            if len({f.counts for f in forms}) != len(forms):
+            if len(set(forms)) != len(forms):
                 problems.append((residue, m, "representative forms collide"))
     # and the census classes themselves have pairwise distinct enumerators
     for n in range(2, 33):

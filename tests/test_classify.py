@@ -5,6 +5,7 @@ import random
 import pytest
 
 from helpers import (
+    atuple_multvector,
     catalog_view_reference,
     equivalent_by_search,
     label_map_reference,
@@ -36,7 +37,6 @@ from lcd2.classify import (
     classify_optimal,
     code_to_multvector,
     induced_point_permutations,
-    multvector_of_atuple,
     multvector_to_code,
     representative_atuple,
     representative_entries,
@@ -104,12 +104,12 @@ def test_induced_point_permutations_group():
 
 
 def test_canonical_form_examples():
-    c1 = canonical_form(multvector_of_atuple(ATuple(1, 1, 1, 1, 1)))
-    c2 = canonical_form(multvector_of_atuple(ATuple(1, 0, 2, 1, 1)))
+    c1 = canonical_form(atuple_multvector(ATuple(1, 1, 1, 1, 1)))
+    c2 = canonical_form(atuple_multvector(ATuple(1, 0, 2, 1, 1)))
     assert c1 == c2 == MultVector(0, (1, 1, 1, 2, 2))
     # the two classes at n = 5m split for m = 3
-    a7 = canonical_form(multvector_of_atuple(ATuple(3, 1, 3, 3, 3)))
-    a8 = canonical_form(multvector_of_atuple(ATuple(3, 0, 4, 3, 3)))
+    a7 = canonical_form(atuple_multvector(ATuple(3, 1, 3, 3, 3)))
+    a8 = canonical_form(atuple_multvector(ATuple(3, 0, 4, 3, 3)))
     assert a7 != a8
 
 
@@ -182,7 +182,7 @@ def test_we_from_mult_matches_the_dict_build():
         counts = {0: 1}
         for p in mp:
             counts[n - m0 - p] = counts.get(n - m0 - p, 0) + 3
-        return WeightEnumerator.from_dict(counts)
+        return WeightEnumerator(tuple(sorted(counts.items())))
 
     for m0 in (0, 2):
         for t in range(15):
@@ -524,7 +524,7 @@ def test_enumerated_oracle_checks_the_derived_min_weight(monkeypatch):
 def test_census_examples():
     classes = census(7, "optimal_lcd")
     assert len(classes) == 1
-    assert classes[0].we.as_dict() == {0: 1, 5: 6, 6: 9}
+    assert dict(classes[0].we.counts) == {0: 1, 5: 6, 6: 9}
     assert len(census(10, "optimal_lcd")) == 2
     nineteen = census(19, "optimal_lcd", include_zero_columns=True)
     assert len(nineteen) == 6
@@ -934,9 +934,9 @@ def test_t3_builds_and_measures_the_representatives_far_past_the_verify_budget()
 
 
 def test_representative_weight_forms_shift_into_sorted_enumerators():
-    # representative_weight_form shifts the stored pairs without a sort or a
-    # merge, so each form's offsets must increase, and stay positive from
-    # the least m at which its residue has length n >= 2.
+    # _weight_form_counts shifts the stored pairs without a sort or a merge,
+    # so each form's offsets must increase, and stay positive from the
+    # least m at which its residue has length n >= 2.
     residues = {
         label: r for r, labels in classify_module.CLASS_REPRESENTATIVE_LABELS.items() for label in labels
     }
@@ -947,8 +947,8 @@ def test_representative_weight_forms_shift_into_sorted_enumerators():
         for m in range(1 if residues[label] < 2 else 0, 12):
             shifted = {0: 1, **{4 * m + offset: count for offset, count in pairs}}
             assert min(shifted) == 0 and len(shifted) == len(pairs) + 1, (label, m)
-            expected = WeightEnumerator.from_dict(shifted)
-            assert verify_module.representative_weight_form(label, m) == expected, (label, m)
+            expected = tuple(sorted(shifted.items()))
+            assert verify_module._weight_form_counts(label, m) == expected, (label, m)
 
 
 def test_equivclass_is_frozen():

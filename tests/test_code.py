@@ -20,14 +20,13 @@ from lcd2.code import (
     codewords,
     extend_with_zero,
     has_zero_coordinate,
-    hermitian_dual,
     hull_dimension,
     is_hermitian_lcd,
     min_weight,
     weight_enumerator,
 )
 from lcd2.family import ATuple, build_generator
-from lcd2.linalg import Mat, hermitian_inner, identity, mat, rank
+from lcd2.linalg import Mat, identity, mat, rank
 
 W, W2 = gf4.OMEGA, gf4.OMEGA2
 
@@ -84,7 +83,7 @@ def test_codewords_examples():
     # closure under scaling
     for v in codewords(c):
         for s in gf4.NONZERO:
-            assert tuple(gf4.mul(s, e) for e in v) in set(codewords(c))
+            assert tuple(gf4.MUL[s][e] for e in v) in set(codewords(c))
 
 
 def test_min_weight_examples():
@@ -104,13 +103,13 @@ def test_weight_enumerator_examples():
     ]
     for code, expected in cases:
         assert brute_weight_enumerator(code.gen) == expected
-        assert weight_enumerator(code).as_dict() == expected
+        assert dict(weight_enumerator(code).counts) == expected
 
 
 def test_weight_enumerator_poly_string():
     we = weight_enumerator(C(1, 1, 1, 1, 1))
     assert we.poly_string() == "1+6y^5+9y^6"
-    assert str(WeightEnumerator.from_dict({0: 1})) == "1"
+    assert str(WeightEnumerator(((0, 1),))) == "1"
 
 
 def test_weight_enumerator_invariants_random():
@@ -120,10 +119,10 @@ def test_weight_enumerator_invariants_random():
         code = LinearCode(random_rank2_matrix(rng, n))
         we = weight_enumerator(code)
         assert we.total() == 16
-        assert we.as_dict()[0] == 1
+        assert dict(we.counts)[0] == 1
         assert we.min_positive_weight() == min_weight(code)
         assert all(c % 3 == 0 for w, c in we.counts if w > 0)
-        assert we.as_dict() == brute_weight_enumerator(code.gen)
+        assert dict(we.counts) == brute_weight_enumerator(code.gen)
         assert min_weight(code) == brute_min_weight(code.gen)
 
 
@@ -141,29 +140,8 @@ def full_rank_generators(draw) -> Mat:
 @given(full_rank_generators(), st.randoms())
 def test_weight_enumerator_matches_brute_force_and_monomial_images(gen, rng):
     we = weight_enumerator(LinearCode(gen))
-    assert we.as_dict() == brute_weight_enumerator(gen)
+    assert dict(we.counts) == brute_weight_enumerator(gen)
     assert weight_enumerator(LinearCode(random_monomial_image(rng, gen))) == we
-
-
-def test_hermitian_dual_examples():
-    full = LinearCode(identity(2))
-    assert hermitian_dual(full).k == 0
-    c = LinearCode(mat([[1, 0, 1], [0, 1, 1]]))
-    dual = hermitian_dual(c)
-    assert dual.k == 1
-    assert set(codewords(dual)) == {(0, 0, 0), (1, 1, 1), (W, W, W), (W2, W2, W2)}
-
-
-def test_dual_dimension_and_orthogonality_random():
-    rng = random.Random(37)
-    for _ in range(40):
-        n = rng.randrange(2, 8)
-        code = LinearCode(random_rank2_matrix(rng, n))
-        dual = hermitian_dual(code)
-        assert code.k + dual.k == n
-        for x in codewords(dual):
-            for y in codewords(code):
-                assert hermitian_inner(x, y) == 0
 
 
 def test_hull_dimension_examples():

@@ -3,7 +3,7 @@ import random
 import pytest
 
 import lcd2.family as family_module
-from helpers import cube_optimal_tuples
+from helpers import catalog_family, cube_optimal_tuples
 from lcd2 import gf4
 from lcd2.code import LinearCode, is_hermitian_lcd, min_weight, weight_enumerator
 from lcd2.family import (
@@ -16,7 +16,6 @@ from lcd2.family import (
     delta,
     dmax,
     enumerate_optimal,
-    family_by_label,
     family_catalog,
     family_tuples,
     format_atuple,
@@ -235,16 +234,14 @@ def test_catalog_structure():
         if f.m_min > 0:
             assert f.tuple_at(f.m_min - 1) is None
     assert per_residue == {0: 8, 1: 11, 2: 2, 3: 3, 4: 25}
-    assert family_by_label("C_{5m,8}").m_min == 3
-    with pytest.raises(KeyError):
-        family_by_label("C_{5m,9}")
+    assert catalog_family("C_{5m,8}").m_min == 3
 
 
 def test_catalog_tuples_are_optimal_lcd():
     for f in family_catalog():
         for m in range(f.m_min, f.m_min + 4):
             a = f.tuple_at(m)
-            n = f.n_at(m)
+            n = 5 * m + f.residue
             assert a is not None and a.n == n
             d = dmax(n)
             assert 1 + a.a2 + a.a3 + a.a4 + a.a5 == d

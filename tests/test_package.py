@@ -26,9 +26,9 @@ PUBLIC_NAMES = [
     "build_generator", "canonical_form", "census", "check_lcd_conditions_a",
     "check_lcd_conditions_b", "classify_optimal", "code_to_multvector", "codewords",
     "conj_transpose", "delta", "det", "dmax", "enumerate_optimal", "extend_with_zero",
-    "family_catalog", "family_tuples", "gram", "has_zero_coordinate", "hermitian_dual",
+    "family_catalog", "family_tuples", "gram", "has_zero_coordinate",
     "hermitian_inner", "hull_dimension", "induced_point_permutations", "is_hermitian_lcd",
-    "kernel_basis", "mat", "min_weight", "move_add_row", "move_swap345", "move_swap_rows",
+    "mat", "min_weight", "move_add_row", "move_swap345", "move_swap_rows",
     "multvector_to_code", "parse_matrix", "rank", "verify_classification", "weight_enumerator",
 ]
 
