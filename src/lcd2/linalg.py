@@ -140,7 +140,7 @@ def scale_planes(s: int, lo: int, hi: int) -> tuple[int, int]:
 
 
 def _eliminate(m: Mat) -> tuple[int, int]:
-    """Gauss-Jordan elimination on the bit planes: the number of pivots and
+    """Forward elimination on the bit planes: the number of pivots and
     their product.
 
     Pivots are chosen as the first nonzero entry scanning columns left to
@@ -168,8 +168,9 @@ def _eliminate(m: Mat) -> tuple[int, int]:
             product = gf4.MUL[product][pivot]
             lo, hi = scale_planes(gf4.INV[pivot], lo, hi)
         rows[r] = lo, hi
-        for i, (l, h) in enumerate(rows):
-            if (l & bit or h & bit) and i != r:
+        for i in range(r + 1, len(rows)):
+            l, h = rows[i]
+            if l & bit or h & bit:
                 fl, fh = scale_planes((1 if l & bit else 0) | (2 if h & bit else 0), lo, hi)
                 rows[i] = l ^ fl, h ^ fh
         pivots += 1

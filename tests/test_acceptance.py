@@ -302,7 +302,7 @@ def test_c09_invariance_suite():
     )
 
 
-def test_c10_determinism_across_workers(capsys):
+def test_c10_determinism_across_repeated_runs(capsys):
     commands = [
         ["census", "20", "--filter", "optimal_lcd", "--include-zero-columns", "--format", "json"],
         ["classify", "23", "--format", "json"],

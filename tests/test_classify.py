@@ -43,6 +43,7 @@ from lcd2.classify import (
 )
 from lcd2.cli import main
 from lcd2.code import (
+    CODEWORD_BUDGET,
     LinearCode,
     WeightEnumerator,
     has_zero_coordinate,
@@ -281,24 +282,37 @@ def test_sorted_runs_match_the_group_minima_up_to_t_40():
             assert _expand(t, _runs(t, 0, d_lo, d_hi, False)) == expected, (t, d_lo, d_hi)
 
 
-def test_census_runs_equal_the_filtered_full_walk():
+def _run_forms(n, runs):
+    """The forms (m0, mp) of the runs (m0, p0, p1, p2, xs) of n, one at a
+    time, each run checked non-empty."""
+    for m0, p0, p1, p2, xs in runs:
+        assert len(xs) > 0, (n, m0, p0, p1, p2)
+        for x in xs:
+            yield m0, (p0, p1, p2, x, n - m0 - p0 - p1 - p2 - x)
+
+
+def test_census_runs_equal_the_filtered_full_walk(
+    cases=tuple((n, z) for n in range(2, 41) for z in (False, True)), filters=VALID_FILTERS
+):
     # The LCD stride against the per-form parity test, and the optimal
-    # window against the d = dmax(n) forms of the full walk.
-    for n in range(2, 41):
-        for z in (False, True):
-            full = list(census_forms(n, "all", z))
-            lcd = [(m0, mp) for m0, mp in full if _lcd_from_mult(mp)]
-            expected = {
-                "all": full,
-                "lcd": lcd,
-                "optimal_lcd": [(m0, mp) for m0, mp in lcd if n - m0 - max(mp) == dmax(n)],
-            }
-            for filt, forms in expected.items():
-                got = []
-                for m0, p0, p1, p2, xs in census_runs(n, filt, z):
-                    assert len(xs) > 0, (n, filt, z, m0, p0, p1, p2)
-                    got += [(m0, (p0, p1, p2, x, n - m0 - p0 - p1 - p2 - x)) for x in xs]
-                assert got == forms, (n, filt, z)
+    # window against the d = dmax(n) forms of the full walk, streamed form
+    # by form, so that no list is built at the budget ends.
+    for n, z in cases:
+        for filt in filters:
+            expected = (
+                (m0, mp)
+                for m0, mp in census_forms(n, "all", z)
+                if filt == "all" or _lcd_from_mult(mp) and (filt == "lcd" or n - m0 - max(mp) == dmax(n))
+            )
+            pairs = itertools.zip_longest(_run_forms(n, census_runs(n, filt, z)), expected)
+            first = next((pair for pair in pairs if pair[0] != pair[1]), None)
+            assert first is None, (n, filt, z, first)
+
+
+@pytest.mark.slow
+def test_lcd_stride_equals_the_filtered_full_walk_near_the_budget():
+    cases = ((100, False), (101, False), (160, False), (161, False), (77, True), (78, True))
+    test_census_runs_equal_the_filtered_full_walk(cases, ("lcd",))
 
 
 def test_window_runs_with_zero_columns_equal_the_filtered_full_walk():
@@ -318,10 +332,7 @@ def test_window_runs_with_zero_columns_equal_the_filtered_full_walk():
                         (m0, mp) for m0, mp, d, is_lcd in full
                         if d_lo <= d <= d_hi and (is_lcd or not lcd)
                     ]
-                    got = []
-                    for m0, p0, p1, p2, xs in _runs(n, n - 2, d_lo, d_hi, lcd):
-                        assert len(xs) > 0, (n, d_lo, d_hi, lcd, m0, p0, p1, p2)
-                        got += [(m0, (p0, p1, p2, x, n - m0 - p0 - p1 - p2 - x)) for x in xs]
+                    got = list(_run_forms(n, _runs(n, n - 2, d_lo, d_hi, lcd)))
                     assert got == expected, (n, d_lo, d_hi, lcd)
 
 
@@ -388,8 +399,9 @@ def test_window_walk_equals_the_optimal_forms_of_the_full_lcd_walk():
         assert classify_module._window_forms(n) == full, n
 
 
-def test_optimal_rows_equal_the_window_walk():
-    lengths = [*range(2, 1001), *(base + r for base in (10**6, 10**9) for r in range(5))]
+def test_optimal_rows_equal_the_window_walk(
+    lengths=(*range(2, 1001), *(base + r for base in (10**6, 10**9) for r in range(5)))
+):
     for n in lengths:
         walk = classify_module._window_forms(n)
         for z in (False, True):
@@ -491,8 +503,8 @@ def test_are_equivalent_matches_exhaustive_search():
         assert are_equivalent(c1, c2) == equivalent_by_search(c1, c2)
 
 
-def test_census_fast_equals_enumerated_oracle():
-    for n in range(2, 13):
+def test_census_fast_equals_enumerated_oracle(lengths=range(2, 13)):
+    for n in lengths:
         for izc in (False, True):
             slow = _census_enumerated(n, izc)
             assert list(slow) == ["all", "lcd", "optimal_lcd"], (n, izc)
@@ -501,6 +513,11 @@ def test_census_fast_equals_enumerated_oracle():
                 assert [(c.canon, c.d, c.we, c.zero_col) for c in fast] == [
                     (c.canon, c.d, c.we, c.zero_col) for c in classes
                 ], (n, filt, izc)
+
+
+@pytest.mark.slow
+def test_census_fast_equals_enumerated_oracle_at_n_13_to_18():
+    test_census_fast_equals_enumerated_oracle(range(13, 19))
 
 
 def test_enumerated_oracle_checks_the_derived_enumerator(monkeypatch):
@@ -838,8 +855,12 @@ def test_verify_instantiates_the_catalog_once_per_length(monkeypatch):
     assert sorted(calls) == list(range(2, 61))
 
 
-def test_catalog_view_matches_the_catalog_rebuilt_row_by_row():
-    lengths = [*range(2, 3001), *(base + r for base in (10**6, 10**9, 10**20) for r in range(5))]
+# The tables' lengths: the catalog view and the label map, each read at n,
+# against their rebuilds.
+TABLE_LENGTHS = (*range(2, 3001), *(base + r for base in (10**6, 10**9, 10**20) for r in range(5)))
+
+
+def test_catalog_view_matches_the_catalog_rebuilt_row_by_row(lengths=TABLE_LENGTHS):
     for n in lengths:
         assert list(_catalog_view(n).items()) == list(catalog_view_reference(n).items()), n
     for n in (-1, 0, 1):
@@ -851,15 +872,38 @@ def test_catalog_view_matches_the_catalog_rebuilt_row_by_row():
         assert errors == [f"n must be >= 2, got {n}"] * 2
 
 
-def test_label_map_matches_the_rule_applied_to_the_rebuilt_catalog():
+def test_label_map_matches_the_rule_applied_to_the_rebuilt_catalog(lengths=TABLE_LENGTHS):
     # Keys, labels and their order: the table read at n against the first
     # label per class, designated representatives first, of the row-by-row view.
-    lengths = [*range(2, 3001), *(base + r for base in (10**6, 10**9, 10**20) for r in range(5))]
     for n in lengths:
         assert list(_label_map(n).items()) == list(label_map_reference(n).items()), n
     for n in (-1, 0, 1):
         with pytest.raises(ValueError, match=f"n must be >= 2, got {n}"):
             _label_map(n)
+
+
+# Lengths past the verify budget: T3 alone sets VERIFY_BUDGET, and the
+# other checks cost the same at every length.
+PAST_THE_BUDGET = (*range(2000, 20001), *(base + r for base in (10**6, 10**9) for r in range(5)))
+
+
+@pytest.mark.slow
+def test_verify_checks_and_their_rebuilds_agree_past_the_budget():
+    test_catalog_view_matches_the_catalog_rebuilt_row_by_row(PAST_THE_BUDGET)
+    test_label_map_matches_the_rule_applied_to_the_rebuilt_catalog(PAST_THE_BUDGET)
+    test_optimal_rows_equal_the_window_walk(PAST_THE_BUDGET)
+    chains = verify_module._chain_labels()
+    for n in PAST_THE_BUDGET:
+        view = _catalog_view(n)
+        plain, zero = (list(census_forms(n, "optimal_lcd", z)) for z in (False, True))
+        walk = classify_module._window_forms(n)
+        checks = [
+            verify_module._check_catalog(n, view),
+            verify_module._check_chains(n, view, chains[n % 5]),
+            verify_module._check_classification(n, plain, zero, walk, _label_map(n)),
+            verify_module._check_headline(n, plain, zero),
+        ]
+        assert [c for c in checks if c is not None and not c.passed] == [], n
 
 
 def test_verify_reports_a_corrupt_catalog_row(monkeypatch):
@@ -926,11 +970,22 @@ def test_the_verify_budget_bounds_the_columns_t3_builds(monkeypatch):
     assert verify_module._t3_columns(2000) == 4_403_798 > verify_module.VERIFY_BUDGET
 
 
-def test_t3_builds_and_measures_the_representatives_far_past_the_verify_budget():
-    for n in range(10**4, 10**4 + 5):
+def test_t3_builds_and_measures_the_representatives_far_past_the_verify_budget(
+    lengths=range(10**4, 10**4 + 5)
+):
+    for n in lengths:
         check = verify_module._check_weight_forms(n, _catalog_view(n))
         assert (check.id, check.n, check.passed) == ("T3", n, True), check
         assert not check.detail.startswith("0 "), check
+
+
+@pytest.mark.slow
+def test_t3_at_the_longest_lengths_both_budgets_admit():
+    # A [n, 2] code walks 5 scalar classes of codewords, so the codeword
+    # budget admits n <= CODEWORD_BUDGET / 5, below GENERATOR_BUDGET.
+    longest = min(CODEWORD_BUDGET // 5, family_module.GENERATOR_BUDGET)
+    lengths = range(longest - 4, longest + 1)
+    test_t3_builds_and_measures_the_representatives_far_past_the_verify_budget(lengths)
 
 
 def test_representative_weight_forms_shift_into_sorted_enumerators():

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import hashlib
 import io
@@ -5,10 +6,13 @@ import json
 import math
 import os
 import random
+import re
+import shlex
 import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -49,6 +53,42 @@ def run_cli(capsys, *argv):
     rc = main(list(argv))
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+# A fresh interpreter imports the package under test.
+CLI_ENV = dict(os.environ, PYTHONPATH=str(Path(lcd2.__file__).resolve().parents[1]))
+LCD2 = [sys.executable, "-m", "lcd2.cli"]
+
+
+def fresh_cli(*argv, flags=()):
+    """``python [flags] -m lcd2.cli argv`` in a fresh process, which reads
+    sys.argv as the installed ``lcd2`` does."""
+    return subprocess.run(
+        [sys.executable, *flags, "-m", "lcd2.cli", *argv], env=CLI_ENV, capture_output=True, text=True
+    )
+
+
+# Runs lcd2 on its arguments, reaps it with os.wait4 and appends its peak
+# RSS in KB to stderr.  Linux starts a child's peak at the peak of the
+# process that started it, which for pytest exceeds the bounds, so this
+# small interpreter starts the measured process; and RUSAGE_CHILDREN would
+# hold the largest peak of every child reaped so far.
+PEAK_RSS_PROBE = (
+    "import os, sys\n"
+    "pid = os.posix_spawn(sys.executable, [sys.executable, '-m', 'lcd2.cli', *sys.argv[1:]], os.environ)\n"
+    "_, status, usage = os.wait4(pid, 0)\n"
+    "print(usage.ru_maxrss, file=sys.stderr)\n"
+    "sys.exit(os.waitstatus_to_exitcode(status))\n"
+)
+
+
+def peak_rss_run(*argv, **run):
+    """lcd2 argv under PEAK_RSS_PROBE: the completed run, lcd2's stderr and
+    its peak RSS in MB."""
+    probe = [sys.executable, "-S", "-c", PEAK_RSS_PROBE, *argv]
+    done = subprocess.run(probe, env=CLI_ENV, stderr=subprocess.PIPE, **run)
+    err, _, peak_kb = done.stderr.decode().rstrip("\n").rpartition("\n")
+    return done, err, int(peak_kb) / 1024
 
 
 def test_bound_text(capsys):
@@ -242,20 +282,41 @@ def every_other_label(n, filt, zero):
     return {form: f"t{i},x" for i, form in enumerate(forms) if i % 2 == 0}
 
 
-@pytest.mark.parametrize("zero", [False, True])
-@pytest.mark.parametrize("filt", FILTERS)
-def test_census_output_matches_the_reference_rendering(capsys, filt, zero):
-    for n in CENSUS_LENGTHS:
-        classes = census(n, filt, zero)
-        header = (
-            f"n={n} filter={filt} classes={len(classes)} "
-            f"include_zero_columns={str(zero).lower()}"
-        )
-        for fmt in FORMATS:
+# The CI censuses (n, filter, zero columns, formats): the benchmark's
+# lengths, past the mirror and p1 = 0 runs of CENSUS_LENGTHS, and both ends
+# of the census budget.
+SLOW_CENSUSES = (
+    (43, "all", False, FORMATS), (49, "lcd", False, FORMATS), (40, "lcd", True, FORMATS),
+    (56, "optimal_lcd", True, FORMATS), (100, "all", False, FORMATS), (60, "all", True, FORMATS),
+    (161, "lcd", False, ("json",)), (78, "lcd", True, ("csv",)),
+    (161, "all", False, ("text",)), (78, "all", True, ("json",)),
+)
+
+
+@pytest.mark.parametrize(
+    "filt, zero, lengths, formats",
+    [pytest.param(f, z, CENSUS_LENGTHS, FORMATS, id=f"{f}-{z}") for f in FILTERS for z in (False, True)]
+    + [
+        pytest.param(f, z, (n,), fs, id=f"{f}-{z}-n{n}", marks=pytest.mark.slow)
+        for n, f, z, fs in SLOW_CENSUSES
+    ],
+)
+def test_census_output_matches_the_reference_rendering(filt, zero, lengths, formats):
+    # The output and the reference are hashed as they stream, one class at a
+    # time, so that neither is held whole.
+    for n in lengths:
+        count = sum(len(xs) for *_, xs in census_runs(n, filt, zero))
+        header = f"n={n} filter={filt} classes={count} include_zero_columns={str(zero).lower()}"
+        for fmt in formats:
             argv = ["census", str(n), "--filter", filt, "--format", fmt]
-            rc, out, _ = run_cli(capsys, *argv, *(["--include-zero-columns"] if zero else []))
-            assert rc == 0
-            assert out == render_classes(classes, fmt, header), (n, fmt)
+            argv += ["--include-zero-columns"] if zero else []
+            got, want = hashlib.sha256(), hashlib.sha256()
+            with contextlib.redirect_stdout(SimpleNamespace(write=lambda text: got.update(text.encode()))):
+                assert main(argv) == 0, argv
+            classes = (EquivClass(MultVector(m0, mp)) for m0, mp in census_forms(n, filt, zero))
+            for piece in render_class_pieces(classes, fmt, header):
+                want.update(piece.encode())
+            assert got.digest() == want.digest(), argv
 
 
 def test_classify_output_matches_the_reference_rendering(capsys):
@@ -490,8 +551,10 @@ def test_census_writes_its_rows_in_bounded_batches(monkeypatch):
 
 
 def test_streamed_reference_rendering_equals_render_classes():
-    # CI compares the largest censuses against the streamed form, so it must
-    # give render_classes' bytes: empty lists, labelled classes, zero columns.
+    # test_census_output_matches_the_reference_rendering compares every
+    # census against the streamed form, its slow cases at the benchmark's
+    # lengths and both ends of the census budget too, so it must give
+    # render_classes' bytes: empty lists, labelled classes, zero columns.
     lists = [[], census(20, "all", True), census(25, "lcd"), classify_optimal(24, True)]
     assert any(c.label for c in lists[3]) and any(c.canon.m0 for c in lists[1])
     for classes in lists:
@@ -597,6 +660,16 @@ def test_value_errors_exit_2_with_only_the_message(capsys, argv, message):
     assert (rc, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.slow
+def test_the_largest_census_walks_peak_at_most_30_mb():
+    for argv in (
+        ["census", "150", "--filter", "all", "--format", "json"],
+        ["census", "78", "--filter", "all", "--include-zero-columns", "--format", "csv"],
+    ):
+        run, err, peak_mb = peak_rss_run(*argv, stdout=subprocess.DEVNULL)
+        assert run.returncode == 0 and peak_mb <= 30, (argv, run.returncode, peak_mb, err)
+
+
 def test_census_over_budget_exits_2_promptly(capsys):
     start = time.perf_counter()
     rc, out, err = run_cli(capsys, "census", "4096")
@@ -660,11 +733,8 @@ def test_check_reads_a_matrix_over_the_argument_limit_from_stdin(capsys):
     # command-line argument may hold.
     rng = random.Random(40)
     text = format_matrix(random_full_rank(rng, 2, 40_000))
-    src = str(Path(lcd2.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
     result = subprocess.run(
-        [sys.executable, "-m", "lcd2.cli", "check", "-"],
-        input=text + "\n", env=env, capture_output=True, text=True,
+        [*LCD2, "check", "-"], input=text + "\n", env=CLI_ENV, capture_output=True, text=True
     )
     rc, out, err = run_cli(capsys, "check", text)
     assert (result.returncode, result.stdout, result.stderr) == (0, out, "")
@@ -682,6 +752,13 @@ def test_check_refuses_stdin_over_its_cap_before_parsing(capsys, monkeypatch):
     assert stdin.tell() == cap + 1
 
 
+@pytest.mark.slow
+def test_check_refuses_a_20_mb_matrix_on_stdin_with_exit_2_and_at_most_100_mb_peak_rss():
+    # 21 MB; the run stops writing once the CLI stops reading at its cap.
+    run, err, peak_mb = peak_rss_run("check", "-", input=b"w2," * 7_000_000 + b"w2\n", stdout=subprocess.PIPE)
+    assert (run.returncode, run.stdout) == (2, b"") and peak_mb <= 100, (run.returncode, peak_mb, err)
+
+
 def test_repeated_main_calls_share_one_parser_without_leaking_state(capsys):
     rc, out, _ = run_cli(capsys, "census", "7", "--filter", "all")
     assert rc == 0 and out.startswith("n=7 filter=all ")
@@ -694,14 +771,12 @@ def test_repeated_main_calls_share_one_parser_without_leaking_state(capsys):
 
 
 def test_import_loads_no_numpy_or_process_pool():
-    src = str(Path(lcd2.__file__).resolve().parents[1])
     probe = (
         "import sys, lcd2.cli; "
         "print(sorted({'numpy', 'concurrent.futures', 'argparse', 'gettext'} & set(sys.modules)))"
     )
-    env = dict(os.environ, PYTHONPATH=src)
     result = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", probe], env=CLI_ENV, capture_output=True, text=True, check=True
     )
     assert result.stdout.strip() == "[]"
 
@@ -742,7 +817,6 @@ def test_commands_import_only_the_modules_they_use(argv, loaded):
     # line loads the parser, the census walker and its tables, and no
     # dataclasses; code, linalg and verify load with the commands using
     # them, and the watched standard modules only where a command uses them.
-    src = str(Path(lcd2.__file__).resolve().parents[1])
     watched = (
         "json", "re", "os", "functools", "collections", "importlib", "enum", "dataclasses", "typing"
     )
@@ -758,11 +832,37 @@ def test_commands_import_only_the_modules_they_use(argv, loaded):
         "new = set(sys.modules) - before\n"
         "print(' '.join(sorted(m for m in new if m.split('.')[0] == 'lcd2' or m in watched)))"
     )
-    env = dict(os.environ, PYTHONPATH=src)
     result = subprocess.run(
-        [sys.executable, "-S", "-c", probe, *argv], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-S", "-c", probe, *argv], env=CLI_ENV, capture_output=True, text=True, check=True
     )
     assert result.stdout.split() == sorted(_STARTUP_MODULES + loaded)
+
+
+@pytest.mark.slow
+def test_each_command_in_a_fresh_process_prints_what_main_prints(capsys):
+    # So that no command misses a module it imports on demand; again under
+    # -S, so that no module preloaded by site-packages hides a missing import.
+    commands = (
+        ["bound", "12"],
+        ["check", "1,0,1,w;0,1,w2,1"],
+        ["construct", "a0=1;1,2,3,4,5"],
+        ["enumerate", "14"],
+        ["classify", "24", "--include-zero-columns"],
+        ["census", "9", "--filter", "all"],
+        # 865 classes: more than one batch of rows.
+        ["census", "30", "--filter", "all"],
+        ["verify", "--n-max", "12"],
+    )
+    argvs = [[*argv, "--format", fmt] for argv in commands for fmt in FORMATS]
+    # One error path for each command that imports modules on demand.
+    argvs += [["construct", "a0=-1;1,2,3,4,5"], ["check", "1,0;1,0"], ["verify", "--n-max", "6"]]
+    # Negative numbers as positionals and values, read with the lazily imported re.
+    argvs += [["verify", "--n-max", "-5"], ["bound", "-5"]]
+    for argv in argvs:
+        in_process = run_cli(capsys, *argv)
+        for flags in ([], ["-S"]):
+            fresh = fresh_cli(*argv, flags=flags)
+            assert (fresh.returncode, fresh.stdout, fresh.stderr) == in_process, (flags, argv)
 
 
 def test_verify_small(capsys):
@@ -803,6 +903,24 @@ def test_verify_output_keeps_its_recorded_digest(capsys, n_max, fmt):
     assert hashlib.sha256(out.encode()).hexdigest() == _VERIFY_SHA256[n_max, fmt]
 
 
+@pytest.mark.slow
+def test_verify_at_the_longest_admitted_length_makes_the_same_checks_in_every_format():
+    # Each format builds its rows on its own branch of cmd_verify.
+    out = {}
+    for fmt in FORMATS:
+        run = fresh_cli("verify", "--n-max", "1999", "--format", fmt)
+        assert run.returncode == 0, (fmt, run.stderr)
+        out[fmt] = run.stdout
+    lines = out["text"].splitlines()
+    assert lines[-1] == f"RESULT: PASS ({len(lines) - 1} checks)", lines[-1]
+    text = [(i, int(n[2:]), s == "PASS") for i, n, s, _ in (line.split(" ", 3) for line in lines[:-1])]
+    js = [(c["id"], c["n"], c["pass"]) for c in json.loads(out["json"])["checks"]]
+    rows = list(csv.reader(io.StringIO(out["csv"])))
+    assert rows[0] == ["id", "n", "pass", "detail"], rows[0]
+    cs = [(i, int(n), p == "true") for i, n, p, _ in rows[1:]]
+    assert text == js == cs and all(p for _, _, p in text)
+
+
 def test_verify_writes_a_failing_check_as_the_reference_renderer_does(capsys, monkeypatch):
     # A detail that csv.writer must quote and json.dumps must escape.
     detail = 'a "quoted" word, a back\\slash,\nan accent \u00e9'
@@ -836,6 +954,20 @@ def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     out = capsys.readouterr().out
     assert "census" in out and "verify" in out
+
+
+@pytest.mark.slow
+def test_the_entry_point_prints_help_with_exit_0_and_refuses_usage_errors_with_exit_2():
+    for argv, needle in ((["--help"], "census"), (["census", "--help"], "--include-zero-columns")):
+        run = fresh_cli(*argv)
+        assert run.returncode == 0 and needle in run.stdout, (argv, run.returncode, run.stdout, run.stderr)
+    for argv in (["bogus"], ["bound"], ["census", "7", "--filter", "nope"], ["census", "7", "--jobs", "2"]):
+        run = fresh_cli(*argv)
+        assert (run.returncode, run.stdout) == (2, ""), (argv, run.stderr)
+        assert run.stderr.startswith("usage: lcd2 "), (argv, run.stderr)
+    # A help flag given a value is named as argparse names it.
+    run = fresh_cli("bound", "7", "--help=1")
+    assert (run.returncode, run.stdout) == (2, "") and "argument -h/--help: " in run.stderr, run.stderr
 
 
 def test_parser_matches_the_reference_argparse_tree():
@@ -900,11 +1032,9 @@ def test_help_per_command_lists_its_options(capsys):
 def test_closed_stdout_exits_141_without_a_traceback():
     # census 60 --filter all writes far more than a 64 KB pipe buffer, so
     # a write after the reader closes the pipe fails.
-    src = str(Path(lcd2.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.Popen(
-        [sys.executable, "-m", "lcd2.cli", "census", "60", "--filter", "all"],
-        env=env,
+        [*LCD2, "census", "60", "--filter", "all"],
+        env=CLI_ENV,
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
     )
@@ -920,11 +1050,24 @@ def test_closed_stdout_exits_141_without_a_traceback():
 @pytest.mark.parametrize("argv", [["bound", "12"], ["verify", "--n-max", "8", "--format", "json"]])
 def test_write_error_exits_74_with_one_line_and_no_traceback(argv):
     # Every write to /dev/full fails with ENOSPC.
-    src = str(Path(lcd2.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
     with open("/dev/full", "w") as full:
-        run = subprocess.run(
-            [sys.executable, "-m", "lcd2.cli", *argv], env=env, stdout=full, stderr=subprocess.PIPE, text=True
-        )
+        run = subprocess.run([*LCD2, *argv], env=CLI_ENV, stdout=full, stderr=subprocess.PIPE, text=True)
     assert "Traceback" not in run.stderr
     assert (run.returncode, run.stderr) == (74, "error: [Errno 28] No space left on device\n")
+
+
+@pytest.mark.slow
+def test_every_readme_command_exits_0_and_the_library_snippet_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"^## Command line$.*?^```sh$(.*?)^```$", readme, re.M | re.S).group(1)
+    snippet = re.search(r"^## Library$.*?^```python$(.*?)^```$", readme, re.M | re.S).group(1)
+    # A line's trailing comment, and the comment lines that continue it, are not arguments.
+    argvs = [shlex.split(line, comments=True)[1:] for line in block.splitlines() if line.startswith("lcd2 ")]
+    assert len(argvs) >= 8 and ["verify", "--n-max", "32"] in argvs and "import" in snippet, (argvs, snippet)
+    for argv in argvs:
+        run = fresh_cli(*argv)
+        last = run.stdout.rstrip("\n").rpartition("\n")[2]
+        assert run.returncode == 0, (argv, run.returncode, run.stderr[-500:])
+        assert argv[0] != "verify" or last.startswith("RESULT: PASS"), (argv, last)
+    run = subprocess.run([sys.executable, "-c", snippet], env=CLI_ENV, capture_output=True, text=True)
+    assert run.returncode == 0, (run.stdout[-500:], run.stderr[-500:])

@@ -9,6 +9,7 @@ from helpers import (
     brute_min_weight,
     brute_weight_enumerator,
     random_equivalent_image,
+    random_full_rank,
     random_monomial_image,
     random_rank2_matrix,
 )
@@ -26,7 +27,8 @@ from lcd2.code import (
     weight_enumerator,
 )
 from lcd2.family import ATuple, build_generator
-from lcd2.linalg import Mat, identity, mat, rank
+from lcd2.cli import main
+from lcd2.linalg import Mat, format_matrix, identity, mat, rank
 
 W, W2 = gf4.OMEGA, gf4.OMEGA2
 
@@ -142,6 +144,18 @@ def test_weight_enumerator_matches_brute_force_and_monomial_images(gen, rng):
     we = weight_enumerator(LinearCode(gen))
     assert dict(we.counts) == brute_weight_enumerator(gen)
     assert weight_enumerator(LinearCode(random_monomial_image(rng, gen))) == we
+
+
+@pytest.mark.slow
+def test_weight_enumerator_matches_brute_force_at_k_6_and_7_and_check_admits_k_8(capsys):
+    rng = random.Random(10)
+    for i in range(20):
+        k = 6 + i % 2
+        gen = random_full_rank(rng, k, rng.randrange(k, k + 6))
+        assert dict(weight_enumerator(LinearCode(gen)).counts) == brute_weight_enumerator(gen), gen
+    # The largest dimension the codeword budget admits.
+    assert main(["check", format_matrix(random_full_rank(random.Random(8), 8, 45))]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_hull_dimension_examples():
