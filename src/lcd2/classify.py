@@ -35,16 +35,17 @@ serves as the cross-validating check.
 
 One per-residue table, ``_TABLES``, built at import, holds for each m
 from 0 to a last index derived from dmax and the catalog the optimal
-forms, the catalog rows valid at m and their class labels, all as
-offsets from m; from the last index on, nothing changes.  One reader,
-``_table_at``, takes the entry of a length, and ``census_runs``, the
-catalog view from label to tuple and class key (``_catalog_view``, which
-``enumerate`` and ``lcd2.verify`` read) and the labels (``_label_map``,
-which ``classify`` and ``verify`` read) add m to it.  The
-functions that build or measure codes reach ``code`` and ``linalg``
-through the package namespace (``lcd2.LinearCode``, ``lcd2.Mat``, ...),
-which imports a module with the first name read from it, so that the
-census and classify commands load neither.
+forms, the catalog rows valid at m and their class labels (the designated
+rows of ``family.CLASSIFICATION`` first), all as offsets from m; from the
+last index on, nothing changes.  One reader, ``_table_at``, takes the
+entry of a length, and ``census_runs``, the catalog view from label to
+tuple and class key (``_catalog_view``, which ``enumerate`` and
+``lcd2.verify`` read) and the labels (``_label_map``, which ``classify``
+and ``verify`` read) add m to it.  The functions that build or measure
+codes reach ``code`` and ``linalg`` through the package namespace
+(``lcd2.LinearCode``, ``lcd2.Mat``, ...), which imports a module with the
+first name read from it, so that the census and classify commands load
+neither.
 """
 
 from __future__ import annotations
@@ -443,16 +444,6 @@ def census(n: int, filter: str = "lcd", include_zero_columns: bool = False) -> l
 # ---------------------------------------------------------------------------
 # the per-residue table: optimal forms, catalog rows and labels
 
-# Designated class representatives per residue, in classification order.
-CLASS_REPRESENTATIVE_LABELS: dict[int, tuple[str, ...]] = {
-    0: ("C_{5m,7}", "C_{5m,8}"),
-    1: ("C_{5m+1,9}", "C_{5m+1,1}"),
-    2: ("C_{5m+2,1}",),
-    3: ("C_{5m+3,1}",),
-    4: ("C_{5m+4,8}", "C_{5m+4,6}", "C_{5m+4,21}", "C_{5m+4,23}", "C_{5m+4,24}"),
-}
-
-
 def _window_forms(n: int) -> list[tuple[int, tuple[int, ...]]]:
     """The optimal LCD forms (m0, mp) of length n, zero columns included, in
     census order, from the d = dmax(n) window walk: the forms ``_TABLES`` is
@@ -481,7 +472,7 @@ def _residue_table(residue: int) -> tuple[tuple[tuple, tuple, tuple], ...]:
     whose smallest part m + o0 is >= 0; the catalog rows (label, c, K) valid
     at m in catalog order, K the canonical form of the point multiplicities
     of c; and (K, label) per class of those rows, labelled by its first
-    designated representative, else its first row."""
+    designated row in ``family.CLASSIFICATION``, else its first row."""
     c = dmax(5 + residue) - 4
     rows = [
         (f.m_min, f.label, f.offsets, _canonical_mp(_atuple_mp(f.offsets)))
@@ -493,8 +484,8 @@ def _residue_table(residue: int) -> tuple[tuple[tuple, tuple, tuple], ...]:
         (m0, p0 - last, p1 - last, p2 - last, x - last)
         for m0, (p0, p1, p2, x, _) in _window_forms(5 * last + residue)
     ]
-    reps = CLASS_REPRESENTATIVE_LABELS[residue]
-    # The designated representatives first, in their order, then catalog
+    reps = [fam._family_label(residue, row) for _, row, _ in fam.CLASSIFICATION[residue]]
+    # The designated rows first, in classification order, then catalog
     # order: the first label set for a class key is its label.
     first = sorted(rows, key=lambda row: reps.index(row[1]) if row[1] in reps else len(reps))
     entries = []
@@ -538,7 +529,7 @@ def _catalog_view(n: int) -> dict[str, tuple[tuple[int, ...], tuple[int, tuple[i
 
 def _label_map(n: int) -> dict[tuple[int, tuple[int, ...]], str]:
     """Class key -> catalog label for the catalog classes at n = 5m + r: the
-    first designated representative in the class, else its first row.  Adds
+    first designated row in the class, else its first row.  Adds
     m to the (K, label) pairs of ``_table_at(n)``."""
     m, (_, _, labels) = _table_at(n)
     return {

@@ -83,22 +83,23 @@ def _emit_classes(n: int, runs: list, labels: dict, fmt: str, header: str):
     per run; a table census memoises the few it writes in ``num`` and
     ``terms``, on the same keys.  A change of m0 builds the text that
     depends on m0 alone, and ``mid``, the text from the label to a common
-    row's first term.  A run with a new (m0, p0, p1, p2) builds its prefix,
-    its enumerator tail (the terms of p2 >= p1 >= p0: (t - p2, c0), c0 = 3,
-    6 or 9 by how many parts equal p2, then the rest), ``end``, the text
-    after a common row's second term, and, when p1 > 0, its representative
-    head; a mirrored run, which comes right after the sorted run of its
-    prefix, reuses them.  lo, the smaller
-    of x and r - x, is x throughout a sorted run and r - x throughout a
+    row's first term, with no label.  A run with a new (m0, p0, p1, p2)
+    builds its prefix, its enumerator tail (the terms of p2 >= p1 >= p0:
+    (t - p2, c0), c0 = 3, 6 or 9 by how many parts equal p2, then the
+    rest), ``end``, the text after a common row's second term, and, when
+    p1 > 0, its representative head; a mirrored run, which comes right
+    after the sorted run of its prefix, reuses them.  lo, the smaller of x
+    and r - x, is x throughout a sorted run and r - x throughout a
     mirrored one.  A row writes d = t - (r - lo) and its terms, merging
-    coinciding parts: 3y^d, 3y^(t - lo) and the tail, written into the row's
-    one string; 3y^d, (t - p2, c0 + 3) and the rest for lo = p2;
-    6y^(t - lo) and the tail for x = r - x; (t - p2, c0 + 6) and the rest
-    for both.  When p1 = 0 a row adds its own ``representative_entries``; a
-    row in ``labels`` adds its label, and a labelled common row rebuilds
-    ``mid``.  JSON is ``json.dumps(classes, indent=2)`` of the README
-    schema's class objects; CSV is what ``csv.writer`` writes; text is the
-    header and one line per class.
+    coinciding parts: 3y^d, 3y^(t - lo) and the tail for a common row,
+    written into the row's one string; 3y^d, (t - p2, c0 + 3) and the rest
+    for lo = p2; 6y^(t - lo) and the tail for x = r - x; (t - p2, c0 + 6)
+    and the rest for both.  When p1 = 0 a row adds its own
+    ``representative_entries``; a row in ``labels`` adds its label.  Only
+    ``classify`` passes labels, and no row of its table census is a common
+    row, so ``mid`` needs none.  JSON is ``json.dumps(classes, indent=2)``
+    of the README schema's class objects; CSV is what ``csv.writer``
+    writes; text is the header and one line per class.
     """
     out = sys.stdout
     json_fmt, text = fmt == "json", fmt == "text"
@@ -156,7 +157,7 @@ def _emit_classes(n: int, runs: list, labels: dict, fmt: str, header: str):
             else:
                 mp_open = before = f",{m0},"
                 after, close = ",1", f",{zero_col}\n"
-            mid = before + label + after + open3
+            mid = before + none + after + open3
         q = p0 + p1 + p2
         r = t - q
         if p2 != last_p2 or p1 != last_p1 or p0 != last_p0:
@@ -188,8 +189,6 @@ def _emit_classes(n: int, runs: list, labels: dict, fmt: str, header: str):
             if labels:
                 found = labels.get((m0, (p0, p1, p2, x, y)))
                 label = none if found is None else quote(found)
-                if x != y and lo != p2:
-                    mid = before + label + after + open3
             if x == y or lo == p2:
                 if x == y:
                     we = terms[k0 + 6] + rest if lo == p2 else terms[(t - lo) << 4 | 6] + tail

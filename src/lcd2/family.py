@@ -21,7 +21,11 @@ too, so ``_optimal_entries`` reads it from the b-window table
 (``_b_window``: each of the five slacks walked once, its cells in
 tuple order) and shifts it by t = n - d; ``family_catalog`` is the known
 closed-form answer (49 one-parameter families in m = n div 5), kept as
-data so the two can be cross-validated.
+data so the two can be cross-validated.  ``CLASSIFICATION``, next to the
+catalog's offsets, is the paper's classification written once: per
+residue of n, each optimal class's chain of catalog rows, its designated
+row and that row's weight enumerator form.  ``classify`` labels classes
+by it and ``verify`` checks it.
 """
 
 from __future__ import annotations
@@ -133,14 +137,13 @@ def check_lcd_conditions_a(a: ATuple, n: int, d: int) -> bool:
     """LCD test for a reduced tuple of an [n, 2, d] code: the b-side test
     on b_i = (n - d) - a_i.
 
-    Requires a0 = 0 and the first row to realise the minimum weight
-    (1 + a2 + a3 + a4 + a5 = d); violations raise ValueError.  The test
-    matches the Gram determinant exactly when d really is the minimum
-    weight of the constructed code of length n.
+    Requires a0 = 0, the first row to realise the minimum weight
+    (1 + a2 + a3 + a4 + a5 = d) and a.n = n; violations raise ValueError.
+    The test matches the Gram determinant exactly when d really is the
+    minimum weight of the constructed code of length n.
     """
     _require_reduced(a, d)
-    t = n - d
-    return check_lcd_conditions_b(BTuple(*(t - ai for ai in a.entries), delta(n, d), n, d))
+    return check_lcd_conditions_b(a_to_b(a, n, d))
 
 
 def check_lcd_conditions_b(b: BTuple) -> bool:
@@ -320,6 +323,38 @@ _FAMILY_OFFSETS: dict[int, list[tuple[int, int, int, int, int]]] = {
         (1, -4, 2, 1, 2),
         (1, -4, 2, 2, 1),
     ],
+}
+
+
+# The known classification: per residue of n, its optimal classes in
+# classification order, one row (chain, designated, form) each.  ``chain``
+# lists the class's catalog rows, which the three moves carry into one
+# another in that order; the chains of a residue partition its rows.
+# ``designated`` is the row that represents the class (the first in its
+# chain but for C_{5m+1,1}), and ``form`` its weight enumerator as
+# (offset, count) pairs, meaning count codewords of weight 4m + offset,
+# plus the zero word.  The C_{5m+2,1} form is stored as recomputed from the
+# construction (1 + 6y^(4m+1) + 9y^(4m+2)); the variant with a 4m+3 term
+# sometimes quoted for it cannot be right, since at m = 0 the code has
+# length 2.
+CLASSIFICATION: dict[int, tuple[tuple[tuple[int, ...], int, tuple[tuple[int, int], ...]], ...]] = {
+    0: (
+        ((7, 6, 5), 7, ((-1, 3), (0, 9), (1, 3))),
+        ((8, 3, 2, 1, 4), 8, ((-1, 6), (0, 6), (2, 3))),
+    ),
+    1: (
+        ((9, 6, 4, 3, 7), 9, ((0, 6), (1, 6), (2, 3))),
+        ((11, 5, 1, 2, 8, 10), 1, ((0, 9), (1, 3), (3, 3))),
+    ),
+    2: (((1, 2), 1, ((1, 6), (2, 9))),),
+    3: (((1, 2, 3), 1, ((2, 9), (3, 6))),),
+    4: (
+        ((8, 16, 15), 8, ((2, 3), (3, 6), (4, 6))),
+        ((6, 22, 20), 6, ((2, 9), (5, 6))),
+        ((21, 17, 12, 2, 3, 11, 19, 18), 21, ((2, 6), (3, 3), (4, 3), (5, 3))),
+        ((23, 9, 4, 1, 13), 23, ((2, 6), (3, 6), (6, 3))),
+        ((24, 10, 5, 7, 14, 25), 24, ((2, 9), (3, 3), (7, 3))),
+    ),
 }
 
 

@@ -1,22 +1,24 @@
 """The ``verify`` command: the known classification, checked length by length.
 
-``verify_classification`` replays the known classification data
-(catalog, equivalence chains, weight enumerator forms, class counts)
-against the independent census and returns a structured report.  At
-n = 5m + r the catalog row with offsets c has the tuple m + c and the
-class key (0, m + K), K the canonical form of the offsets' point
-multiplicities: sorting and the parity swap commute with adding m to
-every part.  ``classify`` builds one per-residue table at import, so
-each length's view from label to tuple and class key, its labels and its
-optimal forms are additions alone; the checks read them and build no
-class object.  T1 compares the view with ``_optimal_entries``, which
-reads the b-window table of ``family``; T2 names the chain rows by their
-catalog labels, resolved once per ``verify_classification`` call from
-the ``EQUIV_CHAINS`` of that moment; T3 builds each representative with
-``build_generator``, measures it with ``weight_enumerator`` and compares
-the counts with the stored pairs shifted by 4m; T4 reads the labels and
-compares the optimal census with a fresh window walk at each length.
-Every check is computed at every length.
+``verify_classification`` replays the known classification data (the
+catalog, the chains and weight enumerator forms of
+``family.CLASSIFICATION``, the class counts) against the independent
+census and returns a structured report.  At n = 5m + r the catalog row
+with offsets c has the tuple m + c and the class key (0, m + K), K the
+canonical form of the offsets' point multiplicities: sorting and the
+parity swap commute with adding m to every part.  ``classify`` builds one
+per-residue table at import, so each length's view from label to tuple
+and class key, its labels and its optimal forms are additions alone; the
+checks read them and build no class object.  T1 compares the view with
+``_optimal_entries``, which reads the b-window table of ``family``.  T2
+and T3 read the classes of ``family.CLASSIFICATION``, resolved to catalog
+labels once per ``verify_classification`` call from the table of that
+moment: T2 names each chain's rows by their labels, and T3 builds each
+designated row with ``build_generator``, measures it with
+``weight_enumerator`` and compares the counts with its weight form
+shifted by 4m.  T4 reads the labels and compares the optimal census with
+a fresh window walk at each length.  Every check is computed at every
+length.
 """
 
 from __future__ import annotations
@@ -28,56 +30,21 @@ from ._frozen import Frozen
 from .code import LinearCode, WeightEnumerator
 from .family import ATuple
 
-# Chains of catalog rows known to be pairwise equivalent (by the three
-# moves); indices refer to rows within the residue class.
-EQUIV_CHAINS: dict[int, tuple[tuple[int, ...], ...]] = {
-    0: ((7, 6, 5), (8, 3, 2, 1, 4)),
-    1: ((9, 6, 4, 3, 7), (11, 5, 1, 2, 8, 10)),
-    2: ((1, 2),),
-    3: ((1, 2, 3),),
-    4: (
-        (8, 16, 15),
-        (6, 22, 20),
-        (21, 17, 12, 2, 3, 11, 19, 18),
-        (23, 9, 4, 1, 13),
-        (24, 10, 5, 7, 14, 25),
-    ),
-}
-
-# Closed-form weight enumerators of the representatives: (offset, count)
-# pairs meaning count codewords of weight 4m + offset, plus the zero word.
-# The C_{5m+2,1} row is stored as recomputed from the construction
-# (1 + 6y^(4m+1) + 9y^(4m+2)); the variant with a 4m+3 term sometimes
-# quoted for it cannot be right, since at m = 0 the code has length 2.
-REPRESENTATIVE_WEIGHT_FORMS: dict[str, tuple[tuple[int, int], ...]] = {
-    "C_{5m,7}": ((-1, 3), (0, 9), (1, 3)),
-    "C_{5m,8}": ((-1, 6), (0, 6), (2, 3)),
-    "C_{5m+1,9}": ((0, 6), (1, 6), (2, 3)),
-    "C_{5m+1,1}": ((0, 9), (1, 3), (3, 3)),
-    "C_{5m+2,1}": ((1, 6), (2, 9)),
-    "C_{5m+3,1}": ((2, 9), (3, 6)),
-    "C_{5m+4,8}": ((2, 3), (3, 6), (4, 6)),
-    "C_{5m+4,6}": ((2, 9), (5, 6)),
-    "C_{5m+4,21}": ((2, 6), (3, 3), (4, 3), (5, 3)),
-    "C_{5m+4,23}": ((2, 6), (3, 6), (6, 3)),
-    "C_{5m+4,24}": ((2, 9), (3, 3), (7, 3)),
-}
-
 _RESIDUE2_FORM_NOTE = (
     "C_{5m+2,1} form recomputed as 1+6y^(4m+1)+9y^(4m+2); the commonly quoted "
     "variant with a 4m+3 term is impossible at m=0 (length 2)"
 )
 
 
-def _weight_form_counts(label: str, m: int) -> tuple[tuple[int, int], ...]:
-    """The (weight, count) pairs of the closed form at m: the zero word, then
-    each stored pair's weight shifted by 4m.
+def _weight_form_counts(form: tuple[tuple[int, int], ...], m: int) -> tuple[tuple[int, int], ...]:
+    """The (weight, count) pairs of the weight form ``form`` at m: the zero
+    word, then each (offset, count) pair's weight 4m + offset.
 
     The offsets of each form increase, and only forms of residues 0 and 1,
     which need m >= 1 for n >= 2, hold offsets below 1; so the shifted
     weights are positive and sorted."""
     four_m = 4 * m
-    return ((0, 1), *((four_m + off, cnt) for off, cnt in REPRESENTATIVE_WEIGHT_FORMS[label]))
+    return ((0, 1), *((four_m + off, cnt) for off, cnt in form))
 
 
 def expected_optimal_class_count(n: int) -> int:
@@ -127,22 +94,29 @@ def _check_catalog(n: int, view: dict) -> CheckResult:
     return CheckResult("T1", n, False, f"missing={missing} extra={extra}")
 
 
-def _chain_labels() -> dict[int, tuple[tuple[tuple[int, ...], tuple[str, ...]], ...]]:
-    """Per residue, each chain of ``EQUIV_CHAINS`` as it reads now, with the
-    catalog labels of its rows."""
+def _classes() -> dict[int, tuple]:
+    """Per residue, each class of ``family.CLASSIFICATION`` as it reads now:
+    (chain, the catalog labels of its rows, the designated row's label,
+    weight form)."""
     return {
         residue: tuple(
-            (chain, tuple(fam._family_label(residue, index) for index in chain)) for chain in chains
+            (
+                chain,
+                tuple(fam._family_label(residue, index) for index in chain),
+                fam._family_label(residue, designated),
+                form,
+            )
+            for chain, designated, form in classes
         )
-        for residue, chains in EQUIV_CHAINS.items()
+        for residue, classes in fam.CLASSIFICATION.items()
     }
 
 
-def _check_chains(n: int, view: dict, chains: tuple) -> CheckResult:
-    """T2 on the chains of n's residue, given as ``_chain_labels`` gives them."""
+def _check_chains(n: int, view: dict, classes: tuple) -> CheckResult:
+    """T2 on the classes of n's residue, given as ``_classes`` gives them."""
     problems = []
     chain_canons = []
-    for chain, labels in chains:
+    for chain, labels, _, _ in classes:
         canons = {view[label][1] for label in labels if label in view}
         if not canons:
             continue
@@ -161,20 +135,21 @@ def _check_chains(n: int, view: dict, chains: tuple) -> CheckResult:
     )
 
 
-def _check_weight_forms(n: int, view: dict) -> CheckResult:
+def _check_weight_forms(n: int, view: dict, classes: tuple) -> CheckResult:
+    """T3 on the classes of n's residue, given as ``_classes`` gives them."""
     m, residue = divmod(n, 5)
     problems = []
     seen: list[tuple[tuple[int, int], ...]] = []
     checked = 0
-    for label in cls.CLASS_REPRESENTATIVE_LABELS[residue]:
+    for _, _, label, form in classes:
         if label not in view:
             continue
         gen = fam.build_generator(ATuple(*view[label][0]))
         computed = codeops.weight_enumerator(LinearCode(gen))
         # The enumerator of the form is built only for the message.
-        form = _weight_form_counts(label, m)
-        if computed.counts != form:
-            problems.append(f"{label}: computed {computed} != form {WeightEnumerator(form)}")
+        counts = _weight_form_counts(form, m)
+        if computed.counts != counts:
+            problems.append(f"{label}: computed {computed} != form {WeightEnumerator(counts)}")
         if computed.counts in seen:
             problems.append(f"{label}: weight enumerator repeats at n={n}")
         seen.append(computed.counts)
@@ -260,10 +235,10 @@ def _t3_columns(n_max: int) -> int:
     (its time is linear in them): per residue r, its representatives times
     the sum of the lengths n = r (mod 5) from r (r + 5 for r < 2) to n_max."""
     total = 0
-    for residue, labels in cls.CLASS_REPRESENTATIVE_LABELS.items():
+    for residue, classes in fam.CLASSIFICATION.items():
         first = residue if residue >= 2 else residue + 5
         count = (n_max - first) // 5 + 1
-        total += len(labels) * count * (2 * first + 5 * (count - 1)) // 2
+        total += len(classes) * count * (2 * first + 5 * (count - 1)) // 2
     return total
 
 
@@ -285,13 +260,13 @@ def verify_classification(n_max: int) -> VerificationReport:
             f"verify up to n_max = {n_max} would build about {estimate} generator "
             f"columns, above the budget of {VERIFY_BUDGET}"
         )
-    chains = _chain_labels()
+    classes = _classes()
     checks: list[CheckResult] = []
     for n in range(2, n_max + 1):
         view = cls._catalog_view(n)
         checks.append(_check_catalog(n, view))
-        checks.append(_check_chains(n, view, chains[n % 5]))
-        checks.append(_check_weight_forms(n, view))
+        checks.append(_check_chains(n, view, classes[n % 5]))
+        checks.append(_check_weight_forms(n, view, classes[n % 5]))
         plain = list(cls.census_forms(n, "optimal_lcd", False))
         zero = list(cls.census_forms(n, "optimal_lcd", True))
         walk = cls._window_forms(n)

@@ -20,7 +20,16 @@ from lcd2 import gf4
 from lcd2 import classify as cls
 from lcd2.classify import EquivClass, MultVector, _atuple_mp, _canonical_mp, representative_atuple
 from lcd2.code import LinearCode
-from lcd2.family import ATuple, Family, _parity_condition, delta, dmax, family_catalog, family_tuples
+from lcd2.family import (
+    CLASSIFICATION,
+    ATuple,
+    Family,
+    _parity_condition,
+    delta,
+    dmax,
+    family_catalog,
+    family_tuples,
+)
 from lcd2.linalg import Mat, mat, rank
 from lcd2.verify import VerificationReport
 
@@ -211,11 +220,12 @@ def catalog_view_reference(n: int) -> dict:
 
 def label_map_reference(n: int) -> dict:
     """``classify._label_map`` by the rule applied to ``catalog_view_reference``:
-    class key -> label, taking the designated representatives first, then
+    class key -> label, taking the designated rows of n's residue first, then
     the rows in catalog order, and the first label of each class."""
     view = catalog_view_reference(n)
+    names = {f.index: f.label for f in family_catalog() if f.residue == n % 5}
     out = {}
-    for label in itertools.chain(*cls.CLASS_REPRESENTATIVE_LABELS.values(), view):
+    for label in itertools.chain((names[row] for _, row, _ in CLASSIFICATION[n % 5]), view):
         if label in view:
             out.setdefault(view[label][1], label)
     return out

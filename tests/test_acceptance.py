@@ -9,7 +9,6 @@ import random
 
 from helpers import (
     atuple_multvector,
-    catalog_family,
     equivalent_by_search,
     random_equivalent_image,
     random_rank2_matrix,
@@ -35,6 +34,7 @@ from lcd2.code import (
     weight_enumerator,
 )
 from lcd2.family import (
+    CLASSIFICATION,
     ATuple,
     a_to_b,
     build_generator,
@@ -45,7 +45,7 @@ from lcd2.family import (
     family_catalog,
     family_tuples,
 )
-from lcd2.verify import EQUIV_CHAINS, REPRESENTATIVE_WEIGHT_FORMS, _weight_form_counts
+from lcd2.verify import _weight_form_counts
 
 
 def _report(name: str, ok: bool, detail: str = "") -> None:
@@ -142,7 +142,8 @@ def test_c04_catalog_reproduction():
 def test_c05_equivalence_chain_reproduction():
     by_key = {(f.residue, f.index): f for f in family_catalog()}
     problems = []
-    for residue, chains in EQUIV_CHAINS.items():
+    for residue, classes in CLASSIFICATION.items():
+        chains = [chain for chain, _, _ in classes]
         covered = sorted(i for chain in chains for i in chain)
         expected = sorted(f.index for f in family_catalog() if f.residue == residue)
         if covered != expected:
@@ -171,22 +172,22 @@ def test_c05_equivalence_chain_reproduction():
 
 
 def test_c06_weight_enumerator_forms():
+    by_key = {(f.residue, f.index): f for f in family_catalog()}
     problems = []
-    for label in REPRESENTATIVE_WEIGHT_FORMS:
-        fam = catalog_family(label)
-        for m in range(fam.m_min, 11):
-            a = fam.tuple_at(m)
-            computed = weight_enumerator(LinearCode(build_generator(a)))
-            if computed.counts != _weight_form_counts(label, m):
-                problems.append((label, m, computed.poly_string()))
-    # forms valid at the same length stay pairwise distinct
-    for residue in range(5):
-        labels = [l for l in REPRESENTATIVE_WEIGHT_FORMS if catalog_family(l).residue == residue]
+    for residue, classes in CLASSIFICATION.items():
+        designated = [(by_key[(residue, row)], form) for _, row, form in classes]
+        for fam, form in designated:
+            for m in range(fam.m_min, 11):
+                a = fam.tuple_at(m)
+                computed = weight_enumerator(LinearCode(build_generator(a)))
+                if computed.counts != _weight_form_counts(form, m):
+                    problems.append((fam.label, m, computed.poly_string()))
+        # forms valid at the same length stay pairwise distinct
         for m in range(0, 11):
             forms = [
-                _weight_form_counts(l, m)
-                for l in labels
-                if catalog_family(l).tuple_at(m) is not None
+                _weight_form_counts(form, m)
+                for fam, form in designated
+                if fam.tuple_at(m) is not None
             ]
             if len(set(forms)) != len(forms):
                 problems.append((residue, m, "representative forms collide"))

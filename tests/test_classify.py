@@ -51,9 +51,9 @@ from lcd2.code import (
     min_weight,
     weight_enumerator,
 )
-from lcd2.family import ATuple, build_generator, dmax, family_catalog
+from lcd2.family import CLASSIFICATION, ATuple, build_generator, dmax, family_catalog
 from lcd2.linalg import identity, mat
-from lcd2.verify import EQUIV_CHAINS, expected_optimal_class_count, verify_classification
+from lcd2.verify import expected_optimal_class_count, verify_classification
 
 
 def test_code_to_multvector_examples():
@@ -466,8 +466,8 @@ def test_classify_optimal_at_large_lengths():
 
 
 def test_are_equivalent_on_chain_links():
-    for residue, chains in EQUIV_CHAINS.items():
-        for chain in chains:
+    for residue, classes in CLASSIFICATION.items():
+        for chain, _, _ in classes:
             for m in range(0, 7):
                 members = []
                 for index in chain:
@@ -599,6 +599,8 @@ def test_expected_optimal_class_count_table():
     for n, count in expected.items():
         assert expected_optimal_class_count(n) == count
         assert len(classify_optimal(n)) == count
+    with pytest.raises(ValueError, match="^n must be >= 2, got 1$"):
+        expected_optimal_class_count(1)
 
 
 def test_representative_atuple_reconstructs_class():
@@ -645,9 +647,14 @@ def test_verify_reports_a_tuple_missing_from_the_enumeration(monkeypatch):
     assert _failures(14) == [("T1", 9, False, "missing=[(2, 0, 2, 1, 2)] extra=[]")]
 
 
+def _merged_chains_of_residue_0():
+    """Residue 0's classes as one, whose chain holds both chains."""
+    first, second = CLASSIFICATION[0]
+    return ((first[0] + second[0], *first[1:]),)
+
+
 def test_verify_reports_a_chain_that_splits(monkeypatch):
-    first, second = EQUIV_CHAINS[0]
-    monkeypatch.setitem(EQUIV_CHAINS, 0, (first + second,))
+    monkeypatch.setitem(CLASSIFICATION, 0, _merged_chains_of_residue_0())
     assert _failures(14) == [
         (
             "T2",
@@ -661,8 +668,7 @@ def test_verify_reports_a_chain_that_splits(monkeypatch):
 def test_verify_reads_the_chains_afresh_on_every_call(monkeypatch):
     # A chain table kept from the first call would hide the split.
     assert _failures(10) == []
-    first, second = EQUIV_CHAINS[0]
-    monkeypatch.setitem(EQUIV_CHAINS, 0, (first + second,))
+    monkeypatch.setitem(CLASSIFICATION, 0, _merged_chains_of_residue_0())
     assert _failures(10) == [
         (
             "T2",
@@ -674,7 +680,8 @@ def test_verify_reads_the_chains_afresh_on_every_call(monkeypatch):
 
 
 def test_verify_reports_a_wrong_weight_form(monkeypatch):
-    monkeypatch.setitem(verify_module.REPRESENTATIVE_WEIGHT_FORMS, "C_{5m+2,1}", ((1, 6), (2, 10)))
+    [(chain, designated, _)] = CLASSIFICATION[2]
+    monkeypatch.setitem(CLASSIFICATION, 2, ((chain, designated, ((1, 6), (2, 10))),))
     assert _failures(14) == [
         ("T3", n, False, f"C_{{5m+2,1}}: computed 1+6y^{w}+9y^{w + 1} != form 1+6y^{w}+10y^{w + 1}")
         for n, w in ((2, 1), (7, 5), (12, 9))
@@ -777,9 +784,11 @@ def _verify_failures(capsys, n_max):
 
 
 def test_verify_reports_two_chains_with_one_canonical_form(capsys, monkeypatch):
-    # The first chain of residue 0 listed twice: at n = 5 one class is
-    # expected, so the count is off as well.
-    monkeypatch.setitem(verify_module.EQUIV_CHAINS, 0, EQUIV_CHAINS[0][:1] * 2)
+    # The first chain of residue 0 in both of its classes: at n = 5 one
+    # class is expected, so the count is off as well.  Each class keeps its
+    # designated row and weight form, so T3 still passes.
+    first, second = CLASSIFICATION[0]
+    monkeypatch.setitem(CLASSIFICATION, 0, (first, (first[0], *second[1:])))
     assert _verify_failures(capsys, 10) == (
         1,
         [
@@ -791,8 +800,10 @@ def test_verify_reports_two_chains_with_one_canonical_form(capsys, monkeypatch):
 
 
 def test_verify_reports_a_repeated_weight_enumerator(capsys, monkeypatch):
-    labels = classify_module.CLASS_REPRESENTATIVE_LABELS
-    monkeypatch.setitem(labels, 2, labels[2] * 2)
+    # A second class of residue 2 with the designated row and form of the
+    # first and no chain rows, which T2 skips.
+    [(_, designated, form)] = CLASSIFICATION[2]
+    monkeypatch.setitem(CLASSIFICATION, 2, (*CLASSIFICATION[2], ((), designated, form)))
     assert _verify_failures(capsys, 8) == (
         1,
         [
@@ -892,14 +903,14 @@ def test_verify_checks_and_their_rebuilds_agree_past_the_budget():
     test_catalog_view_matches_the_catalog_rebuilt_row_by_row(PAST_THE_BUDGET)
     test_label_map_matches_the_rule_applied_to_the_rebuilt_catalog(PAST_THE_BUDGET)
     test_optimal_rows_equal_the_window_walk(PAST_THE_BUDGET)
-    chains = verify_module._chain_labels()
+    classes = verify_module._classes()
     for n in PAST_THE_BUDGET:
         view = _catalog_view(n)
         plain, zero = (list(census_forms(n, "optimal_lcd", z)) for z in (False, True))
         walk = classify_module._window_forms(n)
         checks = [
             verify_module._check_catalog(n, view),
-            verify_module._check_chains(n, view, chains[n % 5]),
+            verify_module._check_chains(n, view, classes[n % 5]),
             verify_module._check_classification(n, plain, zero, walk, _label_map(n)),
             verify_module._check_headline(n, plain, zero),
         ]
@@ -956,9 +967,10 @@ def test_the_verify_budget_bounds_the_columns_t3_builds(monkeypatch):
         return gen
 
     monkeypatch.setattr(family_module, "build_generator", counted)
+    classes = verify_module._classes()
     total = 0
     for n in range(2, 2001):
-        assert verify_module._check_weight_forms(n, _catalog_view(n)).passed, n
+        assert verify_module._check_weight_forms(n, _catalog_view(n), classes[n % 5]).passed, n
         total += sum(built)
         built.clear()
         if n >= 7:
@@ -973,8 +985,9 @@ def test_the_verify_budget_bounds_the_columns_t3_builds(monkeypatch):
 def test_t3_builds_and_measures_the_representatives_far_past_the_verify_budget(
     lengths=range(10**4, 10**4 + 5)
 ):
+    classes = verify_module._classes()
     for n in lengths:
-        check = verify_module._check_weight_forms(n, _catalog_view(n))
+        check = verify_module._check_weight_forms(n, _catalog_view(n), classes[n % 5])
         assert (check.id, check.n, check.passed) == ("T3", n, True), check
         assert not check.detail.startswith("0 "), check
 
@@ -992,18 +1005,26 @@ def test_representative_weight_forms_shift_into_sorted_enumerators():
     # _weight_form_counts shifts the stored pairs without a sort or a merge,
     # so each form's offsets must increase, and stay positive from the
     # least m at which its residue has length n >= 2.
-    residues = {
-        label: r for r, labels in classify_module.CLASS_REPRESENTATIVE_LABELS.items() for label in labels
-    }
-    assert residues.keys() == verify_module.REPRESENTATIVE_WEIGHT_FORMS.keys()
-    for label, pairs in verify_module.REPRESENTATIVE_WEIGHT_FORMS.items():
-        offsets = [offset for offset, _ in pairs]
-        assert offsets == sorted(set(offsets)), label
-        for m in range(1 if residues[label] < 2 else 0, 12):
-            shifted = {0: 1, **{4 * m + offset: count for offset, count in pairs}}
-            assert min(shifted) == 0 and len(shifted) == len(pairs) + 1, (label, m)
-            expected = tuple(sorted(shifted.items()))
-            assert verify_module._weight_form_counts(label, m) == expected, (label, m)
+    for residue, classes in CLASSIFICATION.items():
+        for _, designated, pairs in classes:
+            offsets = [offset for offset, _ in pairs]
+            assert offsets == sorted(set(offsets)), (residue, designated)
+            for m in range(1 if residue < 2 else 0, 12):
+                shifted = {0: 1, **{4 * m + offset: count for offset, count in pairs}}
+                assert min(shifted) == 0 and len(shifted) == len(pairs) + 1, (residue, m)
+                expected = tuple(sorted(shifted.items()))
+                assert verify_module._weight_form_counts(pairs, m) == expected, (residue, m)
+
+
+def test_each_designated_row_lies_in_its_own_chain():
+    # classify labels a class by its designated row and T3 measures that
+    # row for the class's weight form, so the row must lie in the chain.
+    rows = 0
+    for residue, classes in CLASSIFICATION.items():
+        for chain, designated, _ in classes:
+            assert designated in chain, (residue, chain, designated)
+            rows += 1
+    assert rows == 11
 
 
 def test_equivclass_is_frozen():

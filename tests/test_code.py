@@ -86,6 +86,11 @@ def test_codewords_examples():
     for v in codewords(c):
         for s in gf4.NONZERO:
             assert tuple(gf4.MUL[s][e] for e in v) in set(codewords(c))
+    # 16 codewords of length 62,501 hold 16 entries more than the budget
+    wide = LinearCode(mat([[1] * 62_501, [0, 1] + [0] * 62_499]))
+    message = "^4\\^2 codewords of length 62501 exceed the budget of 1000000$"
+    with pytest.raises(ValueError, match=message):
+        codewords(wide)
 
 
 def test_min_weight_examples():
@@ -112,6 +117,8 @@ def test_weight_enumerator_poly_string():
     we = weight_enumerator(C(1, 1, 1, 1, 1))
     assert we.poly_string() == "1+6y^5+9y^6"
     assert str(WeightEnumerator(((0, 1),))) == "1"
+    with pytest.raises(ValueError, match="^no nonzero codewords$"):
+        WeightEnumerator(((0, 1),)).min_positive_weight()
 
 
 def test_weight_enumerator_invariants_random():

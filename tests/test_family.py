@@ -67,6 +67,10 @@ def test_a_to_b_examples():
     b = a_to_b(ATuple(1, 0, 2, 1, 1), 7, 5)
     assert b.entries == (1, 2, 0, 1, 1)
     assert b.b2 == b.delta + 1 - (b.b3 + b.b4 + b.b5)
+    with pytest.raises(ValueError, match="^b-coordinates are defined for a0 = 0$"):
+        a_to_b(ATuple(1, 1, 1, 1, 1, a0=1), 8, 5)
+    with pytest.raises(ValueError, match="^inconsistent length: tuple gives n = 7, got 8$"):
+        a_to_b(ATuple(1, 1, 1, 1, 1), 8, 5)
 
 
 def test_a_b_round_trip_random():
@@ -81,8 +85,10 @@ def test_a_b_round_trip_random():
 def test_check_lcd_conditions_a_examples():
     assert check_lcd_conditions_a(ATuple(1, 1, 1, 1, 1), 7, 5) is True
     assert check_lcd_conditions_a(ATuple(2, 2, 2, 2, 0), 10, 7) is True
-    # a1 = 0 != n - d - 1 = 1 violates the first condition
-    assert check_lcd_conditions_a(ATuple(0, 1, 1, 1, 1), 7, 5) is False
+    # b = (1, 2, 0, 0, 2): d is odd and the pair products sum to 0
+    assert check_lcd_conditions_a(ATuple(1, 0, 2, 2, 0), 7, 5) is False
+    # b2 = 2 - 4 < 1
+    assert check_lcd_conditions_a(ATuple(1, 4, 0, 0, 0), 7, 5) is False
 
 
 def test_check_lcd_conditions_a_preconditions():
@@ -90,6 +96,8 @@ def test_check_lcd_conditions_a_preconditions():
         check_lcd_conditions_a(ATuple(1, 1, 1, 1, 1), 7, 4)  # row weight is not d
     with pytest.raises(ValueError):
         check_lcd_conditions_a(ATuple(0, 1, 1, 1, 1, a0=1), 8, 5)  # a0 != 0
+    with pytest.raises(ValueError, match="^inconsistent length: tuple gives n = 7, got 8$"):
+        check_lcd_conditions_a(ATuple(1, 1, 1, 1, 1), 8, 5)
 
 
 def test_check_lcd_conditions_b_examples():
