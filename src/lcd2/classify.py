@@ -36,12 +36,14 @@ serves as the cross-validating check.
 One per-residue table, ``_TABLES``, built at import, holds for each m
 from 0 to a last index derived from dmax and the catalog the optimal
 forms, the catalog rows valid at m and their class labels (the designated
-rows of ``family.CLASSIFICATION`` first), all as offsets from m; from the
-last index on, nothing changes.  One reader, ``_table_at``, takes the
-entry of a length, and ``census_runs``, the catalog view from label to
-tuple and class key (``_catalog_view``, which ``enumerate`` and
-``lcd2.verify`` read) and the labels (``_label_map``, which ``classify``
-and ``verify`` read) add m to it.  The functions that build or measure
+rows first), all as offsets from m; from the last index on, nothing
+changes.  Beside it, ``_CLASSES`` holds the residue's classes of
+``family.CLASSIFICATION`` resolved to catalog labels in the same pass,
+which ``lcd2.verify`` checks.  One reader, ``_table_at``, takes the entry
+of a length, and ``census_runs``, the catalog view from label to tuple and
+class key (``_catalog_view``, which ``enumerate`` and ``lcd2.verify``
+read) and the labels (``_label_map``, which ``classify`` and ``verify``
+read) add m to it.  The functions that build or measure
 codes reach ``code`` and ``linalg`` through the package namespace
 (``lcd2.LinearCode``, ``lcd2.Mat``, ...), which imports a module with the
 first name read from it, so that the census and classify commands load
@@ -466,25 +468,29 @@ def _window_forms(n: int) -> list[tuple[int, tuple[int, ...]]]:
 # 4, 3, 2, 1, 4, is read from one walk at m = last, and its last entry holds
 # at every larger m: 2, 2, 1, 1 and 6 forms for r = 0..4, one of them (r = 4)
 # with a zero column.
-def _residue_table(residue: int) -> tuple[tuple[tuple, tuple, tuple], ...]:
-    """The entries (forms, rows, labels) at m = 0..last of ``residue``, as
-    offsets from m: the optimal forms (m0, o0, o1, o2, ox) in census order
-    whose smallest part m + o0 is >= 0; the catalog rows (label, c, K) valid
-    at m in catalog order, K the canonical form of the point multiplicities
-    of c; and (K, label) per class of those rows, labelled by its first
-    designated row in ``family.CLASSIFICATION``, else its first row."""
+def _residue_table(residue: int) -> tuple[tuple[tuple, ...], tuple[tuple, ...]]:
+    """The classes of ``family.CLASSIFICATION[residue]`` as (chain, its rows'
+    labels, the designated row's label, form), and the entries (forms, rows,
+    labels) at m = 0..last of ``residue``, as offsets from m: the optimal
+    forms (m0, o0, o1, o2, ox) in census order whose smallest part m + o0 is
+    >= 0; the catalog rows (label, c, K) valid at m in catalog order, K the
+    canonical form of the point multiplicities of c; and (K, label) per
+    class of those rows, labelled by its first designated row, else its
+    first row."""
     c = dmax(5 + residue) - 4
-    rows = [
-        (f.m_min, f.label, f.offsets, _canonical_mp(_atuple_mp(f.offsets)))
-        for f in fam.family_catalog()
-        if f.residue == residue
-    ]
+    catalog = [f for f in fam.family_catalog() if f.residue == residue]
+    names = {f.index: f.label for f in catalog}
+    classes = tuple(
+        (chain, tuple(names[index] for index in chain), names[designated], form)
+        for chain, designated, form in fam.CLASSIFICATION[residue]
+    )
+    rows = [(f.m_min, f.label, f.offsets, _canonical_mp(_atuple_mp(f.offsets))) for f in catalog]
     last = max(3 * residue - 4 * c, *(row[0] for row in rows))
     forms = [
         (m0, p0 - last, p1 - last, p2 - last, x - last)
         for m0, (p0, p1, p2, x, _) in _window_forms(5 * last + residue)
     ]
-    reps = [fam._family_label(residue, row) for _, row, _ in fam.CLASSIFICATION[residue]]
+    reps = [designated for _, _, designated, _ in classes]
     # The designated rows first, in classification order, then catalog
     # order: the first label set for a class key is its label.
     first = sorted(rows, key=lambda row: reps.index(row[1]) if row[1] in reps else len(reps))
@@ -496,10 +502,10 @@ def _residue_table(residue: int) -> tuple[tuple[tuple, tuple, tuple], ...]:
                 labels.setdefault(key, label)
         valid = tuple((label, offsets, key) for m_min, label, offsets, key in rows if m >= m_min)
         entries.append((tuple(f for f in forms if m + f[1] >= 0), valid, tuple(labels.items())))
-    return tuple(entries)
+    return classes, tuple(entries)
 
 
-_TABLES = tuple(_residue_table(residue) for residue in range(5))
+_CLASSES, _TABLES = zip(*map(_residue_table, range(5)))
 
 
 def _table_at(n: int) -> tuple[int, tuple[tuple, tuple, tuple]]:

@@ -94,8 +94,9 @@ def _emit_classes(n: int, runs: list, labels: dict, fmt: str, header: str):
     coinciding parts: 3y^d, 3y^(t - lo) and the tail for a common row,
     written into the row's one string; 3y^d, (t - p2, c0 + 3) and the rest
     for lo = p2; 6y^(t - lo) and the tail for x = r - x; (t - p2, c0 + 6)
-    and the rest for both.  When p1 = 0 a row adds its own
-    ``representative_entries``; a row in ``labels`` adds its label.  Only
+    and the rest for both.  When p1 = 0 a row writes its own
+    ``representative_entries``, (x - 1, p2 - 1, 0, 0, y), or (y - 1, x - 1,
+    0, 0, 0) when p2 = 0; a row in ``labels`` adds its label.  Only
     ``classify`` passes labels, and no row of its table census is a common
     row, so ``mid`` needs none.  JSON is ``json.dumps(classes, indent=2)``
     of the README schema's class objects; CSV is what ``csv.writer``
@@ -183,9 +184,10 @@ def _emit_classes(n: int, runs: list, labels: dict, fmt: str, header: str):
             sx, sy, sd = num[x], num[y], num[q + lo]
             if p1:
                 a4, a5 = sx, sy
-            else:
-                a1, a2, a3, a4, a5 = cls.representative_entries((p0, p1, p2, x, y))
-                head = f"{head_open}{a1}{a_sep}{a2}{a_sep}{a3}{a_sep}"
+            else:  # p0 = p1 = 0: (v - 1, u - 1, 0, 0, a5), u <= v the least nonzero parts
+                u, v, a5 = (p2, x, sy) if p2 else (x, y, "0")
+                head = f"{head_open}{num[v - 1]}{a_sep}{num[u - 1]}{a_sep}0{a_sep}"
+                a4 = "0"
             if labels:
                 found = labels.get((m0, (p0, p1, p2, x, y)))
                 label = none if found is None else quote(found)

@@ -24,8 +24,9 @@ closed-form answer (49 one-parameter families in m = n div 5), kept as
 data so the two can be cross-validated.  ``CLASSIFICATION``, next to the
 catalog's offsets, is the paper's classification written once: per
 residue of n, each optimal class's chain of catalog rows, its designated
-row and that row's weight enumerator form.  ``classify`` labels classes
-by it and ``verify`` checks it.
+row and that row's weight enumerator form.  ``classify`` resolves it to
+catalog labels once, at import, beside its per-residue tables, labels
+classes by that resolution, and ``verify`` checks it.
 """
 
 from __future__ import annotations

@@ -647,6 +647,19 @@ def test_verify_reports_a_tuple_missing_from_the_enumeration(monkeypatch):
     assert _failures(14) == [("T1", 9, False, "missing=[(2, 0, 2, 1, 2)] extra=[]")]
 
 
+def _patch_classification(monkeypatch, residue, classes):
+    """Put ``classes`` in place of the residue's row of
+    ``family.CLASSIFICATION`` and rebuild that residue's classes and table
+    from it with ``_residue_table``, as the import does: verify reads the
+    table, not the classification."""
+    monkeypatch.setitem(CLASSIFICATION, residue, classes)
+    resolved, table = classify_module._residue_table(residue)
+    for name, value in (("_CLASSES", resolved), ("_TABLES", table)):
+        patched = list(getattr(classify_module, name))
+        patched[residue] = value
+        monkeypatch.setattr(classify_module, name, tuple(patched))
+
+
 def _merged_chains_of_residue_0():
     """Residue 0's classes as one, whose chain holds both chains."""
     first, second = CLASSIFICATION[0]
@@ -654,7 +667,7 @@ def _merged_chains_of_residue_0():
 
 
 def test_verify_reports_a_chain_that_splits(monkeypatch):
-    monkeypatch.setitem(CLASSIFICATION, 0, _merged_chains_of_residue_0())
+    _patch_classification(monkeypatch, 0, _merged_chains_of_residue_0())
     assert _failures(14) == [
         (
             "T2",
@@ -665,10 +678,10 @@ def test_verify_reports_a_chain_that_splits(monkeypatch):
     ]
 
 
-def test_verify_reads_the_chains_afresh_on_every_call(monkeypatch):
-    # A chain table kept from the first call would hide the split.
+def test_verify_reads_the_table_on_every_call(monkeypatch):
+    # Classes kept from the first call would hide the split.
     assert _failures(10) == []
-    monkeypatch.setitem(CLASSIFICATION, 0, _merged_chains_of_residue_0())
+    _patch_classification(monkeypatch, 0, _merged_chains_of_residue_0())
     assert _failures(10) == [
         (
             "T2",
@@ -681,7 +694,7 @@ def test_verify_reads_the_chains_afresh_on_every_call(monkeypatch):
 
 def test_verify_reports_a_wrong_weight_form(monkeypatch):
     [(chain, designated, _)] = CLASSIFICATION[2]
-    monkeypatch.setitem(CLASSIFICATION, 2, ((chain, designated, ((1, 6), (2, 10))),))
+    _patch_classification(monkeypatch, 2, ((chain, designated, ((1, 6), (2, 10))),))
     assert _failures(14) == [
         ("T3", n, False, f"C_{{5m+2,1}}: computed 1+6y^{w}+9y^{w + 1} != form 1+6y^{w}+10y^{w + 1}")
         for n, w in ((2, 1), (7, 5), (12, 9))
@@ -788,7 +801,7 @@ def test_verify_reports_two_chains_with_one_canonical_form(capsys, monkeypatch):
     # class is expected, so the count is off as well.  Each class keeps its
     # designated row and weight form, so T3 still passes.
     first, second = CLASSIFICATION[0]
-    monkeypatch.setitem(CLASSIFICATION, 0, (first, (first[0], *second[1:])))
+    _patch_classification(monkeypatch, 0, (first, (first[0], *second[1:])))
     assert _verify_failures(capsys, 10) == (
         1,
         [
@@ -803,7 +816,7 @@ def test_verify_reports_a_repeated_weight_enumerator(capsys, monkeypatch):
     # A second class of residue 2 with the designated row and form of the
     # first and no chain rows, which T2 skips.
     [(_, designated, form)] = CLASSIFICATION[2]
-    monkeypatch.setitem(CLASSIFICATION, 2, (*CLASSIFICATION[2], ((), designated, form)))
+    _patch_classification(monkeypatch, 2, (*CLASSIFICATION[2], ((), designated, form)))
     assert _verify_failures(capsys, 8) == (
         1,
         [
@@ -903,7 +916,7 @@ def test_verify_checks_and_their_rebuilds_agree_past_the_budget():
     test_catalog_view_matches_the_catalog_rebuilt_row_by_row(PAST_THE_BUDGET)
     test_label_map_matches_the_rule_applied_to_the_rebuilt_catalog(PAST_THE_BUDGET)
     test_optimal_rows_equal_the_window_walk(PAST_THE_BUDGET)
-    classes = verify_module._classes()
+    classes = classify_module._CLASSES
     for n in PAST_THE_BUDGET:
         view = _catalog_view(n)
         plain, zero = (list(census_forms(n, "optimal_lcd", z)) for z in (False, True))
@@ -967,7 +980,7 @@ def test_the_verify_budget_bounds_the_columns_t3_builds(monkeypatch):
         return gen
 
     monkeypatch.setattr(family_module, "build_generator", counted)
-    classes = verify_module._classes()
+    classes = classify_module._CLASSES
     total = 0
     for n in range(2, 2001):
         assert verify_module._check_weight_forms(n, _catalog_view(n), classes[n % 5]).passed, n
@@ -985,11 +998,38 @@ def test_the_verify_budget_bounds_the_columns_t3_builds(monkeypatch):
 def test_t3_builds_and_measures_the_representatives_far_past_the_verify_budget(
     lengths=range(10**4, 10**4 + 5)
 ):
-    classes = verify_module._classes()
+    classes = classify_module._CLASSES
     for n in lengths:
         check = verify_module._check_weight_forms(n, _catalog_view(n), classes[n % 5])
         assert (check.id, check.n, check.passed) == ("T3", n, True), check
         assert not check.detail.startswith("0 "), check
+
+
+def test_t3_leaves_a_class_unmeasured_only_at_the_named_lengths():
+    # T3 measures the designated rows valid at n.  A class that is present
+    # (some row of its chain is valid) but whose designated row is not goes
+    # unmeasured; the verify docstring and README name these lengths.
+    unmeasured = {}
+    for n in range(2, 61):
+        view = _catalog_view(n)
+        classes = classify_module._CLASSES[n % 5]
+        present = [c for c in classes if any(label in view for label in c[1])]
+        assert len(present) == expected_optimal_class_count(n), n
+        missing = [designated for _, _, designated, _ in present if designated not in view]
+        if missing:
+            unmeasured[n] = missing
+        check = verify_module._check_weight_forms(n, view, classes)
+        assert check.passed, check
+        assert check.detail.startswith(f"{len(present) - len(missing)} representative "), check
+    assert unmeasured == {
+        3: ["C_{5m+3,1}"],
+        5: ["C_{5m,7}"],
+        6: ["C_{5m+1,9}"],
+        9: ["C_{5m+4,21}"],
+        10: ["C_{5m,8}"],
+        14: ["C_{5m+4,23}"],
+        19: ["C_{5m+4,24}"],
+    }
 
 
 @pytest.mark.slow
@@ -1014,6 +1054,21 @@ def test_representative_weight_forms_shift_into_sorted_enumerators():
                 assert min(shifted) == 0 and len(shifted) == len(pairs) + 1, (residue, m)
                 expected = tuple(sorted(shifted.items()))
                 assert verify_module._weight_form_counts(pairs, m) == expected, (residue, m)
+
+
+def test_the_table_holds_the_classification_resolved_to_catalog_labels():
+    # classify labels by these classes and verify checks them, so they must
+    # be the classification itself: chain, chain labels, designated label
+    # and form, in order, against a fresh resolution of every residue.
+    label = family_module._family_label
+    assert sorted(CLASSIFICATION) == [0, 1, 2, 3, 4]
+    assert classify_module._CLASSES == tuple(
+        tuple(
+            (chain, tuple(label(r, index) for index in chain), label(r, designated), form)
+            for chain, designated, form in CLASSIFICATION[r]
+        )
+        for r in range(5)
+    )
 
 
 def test_each_designated_row_lies_in_its_own_chain():

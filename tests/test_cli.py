@@ -582,29 +582,23 @@ def test_streamed_reference_rendering_equals_render_classes():
             assert "".join(pieces) == render_classes(classes, fmt, "header"), (len(classes), fmt)
 
 
-def test_census_calls_representative_entries_once_per_form_of_a_p1_zero_run(capsys, monkeypatch):
-    # A run whose prefix has p1 > 0 takes its representative's first three
-    # entries from the prefix, with no call; a run with p1 = 0 calls once
-    # per form.
+def test_census_writes_p1_zero_rows_without_representative_entries(capsys, monkeypatch):
+    # Every row takes its representative from its run's parts: p1 > 0 from
+    # the prefix and x, y; p1 = 0 (two or three zero parts) from x, y and p2.
     runs = list(census_runs(30, "all"))
-    per_form = [len(xs) for _, _, p1, _, xs in runs if p1 == 0]
-    assert per_form and len(per_form) < len(runs)
-    assert sum(per_form) == 90
+    per_form = [len(xs) for _, _, p1, p2, xs in runs if p1 == 0]
+    assert {p2 == 0 for _, _, p1, p2, _ in runs if p1 == 0} == {False, True}
+    assert len(per_form) < len(runs) and sum(per_form) == 90
     classes = census(30, "all")
     header = f"n=30 filter=all classes={len(classes)} include_zero_columns=false"
     outputs = {fmt: render_classes(classes, fmt, header) for fmt in FORMATS}
-    calls = []
-    original = classify_module.representative_entries
 
-    def counted(mp):
-        calls.append(mp)
-        return original(mp)
+    def refuse(mp):
+        raise AssertionError(f"representative_entries({mp})")
 
-    monkeypatch.setattr(classify_module, "representative_entries", counted)
+    monkeypatch.setattr(classify_module, "representative_entries", refuse)
     for fmt, out in outputs.items():
-        calls.clear()
-        assert run_cli(capsys, "census", "30", "--filter", "all", "--format", fmt) == (0, out, "")
-        assert len(calls) == 90 and all(mp[1] == 0 for mp in calls), fmt
+        assert run_cli(capsys, "census", "30", "--filter", "all", "--format", fmt) == (0, out, ""), fmt
 
 
 def test_census_and_classify_build_no_class_objects(capsys, monkeypatch):
