@@ -27,11 +27,11 @@ n - m0 - max(mp) (each nonzero message class zeroes exactly one point
 type), and the Gram determinant reduces to a parity formula in which
 only the parity of p2 + x changes along a run.  The ``all`` and ``lcd``
 walks grow as n^4 (n^5 with zero columns) and are capped by
-``CENSUS_BUDGET``.  Class objects are built only by ``census`` and
-``classify_optimal``; the command line renders the runs.  An
-``EquivClass`` accepts only a rank-2 canonical form.  The oracle
-``_census_enumerated`` recomputes everything from actual codewords and
-serves as the cross-validating check.
+``CENSUS_BUDGET``.  Class objects are built only by ``census``,
+``classify_optimal`` and the oracle ``_census_enumerated``, which
+recomputes everything from actual codewords and serves as the
+cross-validating check; the command line renders the runs.  An
+``EquivClass`` accepts only a rank-2 canonical form.
 
 One per-residue table, ``_TABLES``, built at import, holds for each m
 from 0 to a last index derived from dmax and the catalog the optimal
@@ -240,6 +240,15 @@ def representative_atuple(mv: MultVector) -> ATuple:
 CENSUS_BUDGET = 250_000
 
 
+def _about(count: int) -> str:
+    """``count`` in decimal, or as the power of ten below it where the decimal
+    form passes the interpreter's integer string conversion limit."""
+    try:
+        return str(count)
+    except ValueError:
+        return f"10^{int((count.bit_length() - 1) * math.log10(2))}"
+
+
 def _lcd_form(p0: int, p1: int, p2: int, r: int, x: int) -> bool:
     """Gram determinant test of the form (p0, p1, p2, x, r - x) from parities.
 
@@ -350,7 +359,7 @@ def census_runs(n: int, filter: str = "lcd", include_zero_columns: bool = False)
     estimate = (math.comb(n + 5, 5) - 6 if include_zero_columns else math.comb(n + 4, 4)) // 120
     if estimate > CENSUS_BUDGET:
         raise ValueError(
-            f"census of length {n} would walk about {estimate} partitions, "
+            f"census of length {n} would walk about {_about(estimate)} partitions, "
             f"above the budget of {CENSUS_BUDGET}"
         )
     return _runs(n, n - 2 if include_zero_columns else 0, 1, n, filter != "all")

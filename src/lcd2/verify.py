@@ -50,16 +50,20 @@ def _weight_form_counts(form: tuple[tuple[int, int], ...], m: int) -> tuple[tupl
     return ((0, 1), *((four_m + off, cnt) for off, cnt in form))
 
 
+# The paper's class counts at n = 5m + r, by r: the optimal classes with no
+# zero column once every catalog row exists, the optimal classes with a zero
+# column, and {m: classes with no zero column} at the small m before that.
+# THM checks the first two from the m after the last exception.
+_COUNTS = ((2, 0, {1: 1}), (2, 0, {1: 1}), (1, 0, {}), (1, 0, {}), (5, 1, {0: 1, 1: 3, 2: 4}))
+
+
 def expected_optimal_class_count(n: int) -> int:
     """Known number of optimal classes with no zero column at length n."""
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     m, residue = divmod(n, 5)
-    if residue in (0, 1):
-        return 1 if m == 1 else 2
-    if residue in (2, 3):
-        return 1
-    return {0: 1, 1: 3, 2: 4}.get(m, 5)
+    count, _, small = _COUNTS[residue]
+    return small.get(m, count)
 
 
 class CheckResult(Frozen):
@@ -152,7 +156,7 @@ def _check_classification(n: int, plain: list, zero: list, walk: list, labels: d
     zero columns, labelled by ``labels``, and of the d = dmax(n) window walk
     with zero columns, which must equal ``zero``."""
     expected = expected_optimal_class_count(n)
-    expected_extra = 1 if n % 5 == 4 else 0
+    expected_extra = _COUNTS[n % 5][1]
     problems = []
     if len(plain) != expected:
         problems.append(f"{len(plain)} classes, expected {expected}")
@@ -187,24 +191,18 @@ def _check_classification(n: int, plain: list, zero: list, walk: list, labels: d
 
 def _check_headline(n: int, plain: list, zero: list) -> CheckResult | None:
     m, residue = divmod(n, 5)
-    if residue in (0, 1):
-        if m < 2:
-            return None
-        ok = len(plain) == 2
-        detail = f"{len(plain)} classes, headline count 2"
-    elif residue in (2, 3):
-        ok = len(plain) == 1
-        detail = f"{len(plain)} classes, headline count 1"
-    else:
-        if m < 3:
-            return None
-        zero_classes = [key for key in zero if key[0]]
-        ok = len(zero) == 6 and len(zero_classes) == 1
-        detail = (
-            f"{len(zero)} classes including zero columns "
-            f"({len(zero_classes)} with a zero coordinate), headline count 6 (1)"
-        )
-    return CheckResult("THM", n, ok, detail)
+    count, extra, small = _COUNTS[residue]
+    if m <= max(small, default=-1):
+        return None
+    if not extra:
+        detail = f"{len(plain)} classes, headline count {count}"
+        return CheckResult("THM", n, len(plain) == count, detail)
+    zeros = len([key for key in zero if key[0]])
+    detail = (
+        f"{len(zero)} classes including zero columns "
+        f"({zeros} with a zero coordinate), headline count {count + extra} ({extra})"
+    )
+    return CheckResult("THM", n, len(zero) == count + extra and zeros == extra, detail)
 
 
 # Largest T3 workload ``verify_classification`` accepts, in the generator
@@ -242,7 +240,7 @@ def verify_classification(n_max: int) -> VerificationReport:
     estimate = _t3_columns(n_max)
     if estimate > VERIFY_BUDGET:
         raise ValueError(
-            f"verify up to n_max = {n_max} would build about {estimate} generator "
+            f"verify up to n_max = {n_max} would build about {cls._about(estimate)} generator "
             f"columns, above the budget of {VERIFY_BUDGET}"
         )
     classes = cls._CLASSES

@@ -2,8 +2,8 @@
 
 Everything here recomputes from first principles (full codeword
 enumeration, exhaustive search over row transforms) so the library's
-closed-form and vectorised paths are checked against an independent
-route, not against themselves.
+closed-form paths are checked against an independent route, not against
+themselves.
 """
 
 from __future__ import annotations
