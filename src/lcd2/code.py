@@ -55,9 +55,6 @@ class WeightEnumerator(Frozen):
 
     __slots__ = ("counts",)
 
-    def total(self) -> int:
-        return sum(c for _, c in self.counts)
-
     def min_positive_weight(self) -> int:
         positive = [w for w, _ in self.counts if w > 0]
         if not positive:

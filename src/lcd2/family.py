@@ -385,14 +385,9 @@ def family_tuples(n: int) -> list[tuple[Family, ATuple]]:
     return [(fam, a) for fam in rows if (a := fam.tuple_at(m)) is not None]
 
 
-def format_atuple(a: ATuple) -> str:
-    """Text form "a1,a2,a3,a4,a5", prefixed by "a0=K;" when a0 > 0."""
-    body = ",".join(str(x) for x in a.entries)
-    return f"a0={a.a0};{body}" if a.a0 else body
-
-
 def parse_atuple(text: str) -> ATuple:
-    """Inverse of format_atuple; raises ValueError on malformed input."""
+    """The tuple of the text "a1,a2,a3,a4,a5", optionally prefixed by
+    "a0=K;"; raises ValueError on malformed input."""
     t = text.strip()
     a0 = 0
     if ";" in t:

@@ -38,15 +38,6 @@ class Mat(Frozen):
     def __getitem__(self, i: int) -> bytes:
         return self.rows[i]
 
-    def __iter__(self) -> Iterator[bytes]:
-        return iter(self.rows)
-
-    def column(self, j: int) -> Vec:
-        return tuple(row[j] for row in self.rows)
-
-    def columns(self) -> list[Vec]:
-        return [self.column(j) for j in range(self.ncols)]
-
     def __str__(self) -> str:
         return format_matrix(self)
 
@@ -75,10 +66,6 @@ def mat(rows: Iterable[Sequence[int]], ncols: int | None = None) -> Mat:
             if not isinstance(e, int) or e not in (0, 1, 2, 3):
                 raise ValueError(f"not a GF(4) element: {e!r}")
     return Mat(tup, ncols)
-
-
-def identity(k: int) -> Mat:
-    return Mat([b"\x00" * i + b"\x01" + b"\x00" * (k - 1 - i) for i in range(k)], k)
 
 
 def planes(m: Mat) -> list[tuple[int, int]]:

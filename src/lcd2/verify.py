@@ -16,12 +16,14 @@ labels at import beside that table: T2 names each chain's rows by their
 labels, and T3 builds each designated row with ``build_generator``,
 measures it with ``weight_enumerator`` and compares the counts with its
 weight form shifted by 4m.  T4 reads the labels and compares the optimal
-census with a fresh window walk at each length.  Every check is computed
-at every length.  T3 skips a class whose designated row is not yet valid
-at n: one class at n = 3, 5, 6 (their only one), 9, 10, 14 and 19.
-Measuring another row of its chain would change the output of ``verify
---n-max 32``, which ``bench/digests.json`` pins: that waits for the
-next change to the benchmark.
+census with a fresh window walk at each length; THM, in the same
+function, compares those counts with the paper's from the m after the
+last small-m exception.  The other checks are computed at every length.
+T3 skips a class whose designated row is not yet valid at n: one class
+at n = 3, 5, 6 (their only one), 9, 10, 14 and 19.  Measuring another
+row of its chain would change the output of ``verify --n-max 32``,
+which ``bench/digests.json`` pins: that waits for the next change to
+the benchmark.
 """
 
 from __future__ import annotations
@@ -53,7 +55,8 @@ def _weight_form_counts(form: tuple[tuple[int, int], ...], m: int) -> tuple[tupl
 # The paper's class counts at n = 5m + r, by r: the optimal classes with no
 # zero column once every catalog row exists, the optimal classes with a zero
 # column, and {m: classes with no zero column} at the small m before that.
-# THM checks the first two from the m after the last exception.
+# ``_check_classification`` reads a length's entry once for T4 and THM, which
+# checks the first two from the m after the last exception.
 _COUNTS = ((2, 0, {1: 1}), (2, 0, {1: 1}), (1, 0, {}), (1, 0, {}), (5, 1, {0: 1, 1: 3, 2: 4}))
 
 
@@ -151,23 +154,28 @@ def _check_weight_forms(n: int, view: dict, classes: tuple) -> CheckResult:
     return CheckResult("T3", n, True, detail)
 
 
-def _check_classification(n: int, plain: list, zero: list, walk: list, labels: dict) -> CheckResult:
+def _check_classification(
+    n: int, plain: list, zero: list, walk: list, labels: dict
+) -> list[CheckResult]:
     """T4 on the class keys (m0, mp) of the optimal census without and with
     zero columns, labelled by ``labels``, and of the d = dmax(n) window walk
-    with zero columns, which must equal ``zero``."""
+    with zero columns, which must equal ``zero``; and, from the m after the
+    last small-m exception, THM on the same counts against the paper's, read
+    from ``_COUNTS`` and not through ``expected_optimal_class_count``."""
+    m, residue = divmod(n, 5)
+    count, extra, small = _COUNTS[residue]
     expected = expected_optimal_class_count(n)
-    expected_extra = _COUNTS[n % 5][1]
+    zeros = len([key for key in zero if key[0]])
     problems = []
     if len(plain) != expected:
         problems.append(f"{len(plain)} classes, expected {expected}")
-    zero_classes = [key for key in zero if key[0]]
-    if len(zero) != expected + expected_extra:
+    if len(zero) != expected + extra:
         problems.append(
             f"{len(zero)} classes with zero columns allowed, "
-            f"expected {expected + expected_extra}"
+            f"expected {expected + extra}"
         )
-    if len(zero_classes) != expected_extra:
-        problems.append(f"{len(zero_classes)} zero-column classes, expected {expected_extra}")
+    if zeros != extra:
+        problems.append(f"{zeros} zero-column classes, expected {extra}")
     unlabelled = [key for key in plain if key not in labels]
     if unlabelled:
         problems.append(f"{len(unlabelled)} classes without a catalog label")
@@ -179,30 +187,18 @@ def _check_classification(n: int, plain: list, zero: list, walk: list, labels: d
         problems.append(
             f"optimal rows differ from the window walk: rows only={rows_only} walk only={walk_only}"
         )
-    if problems:
-        return CheckResult("T4", n, False, "; ".join(problems))
-    return CheckResult(
-        "T4",
-        n,
-        True,
-        f"{len(plain)} classes (+{expected_extra} with a zero column), all labelled",
-    )
-
-
-def _check_headline(n: int, plain: list, zero: list) -> CheckResult | None:
-    m, residue = divmod(n, 5)
-    count, extra, small = _COUNTS[residue]
+    summary = f"{len(plain)} classes (+{extra} with a zero column), all labelled"
+    checks = [CheckResult("T4", n, not problems, "; ".join(problems) or summary)]
     if m <= max(small, default=-1):
-        return None
+        return checks
     if not extra:
         detail = f"{len(plain)} classes, headline count {count}"
-        return CheckResult("THM", n, len(plain) == count, detail)
-    zeros = len([key for key in zero if key[0]])
+        return [*checks, CheckResult("THM", n, len(plain) == count, detail)]
     detail = (
         f"{len(zero)} classes including zero columns "
         f"({zeros} with a zero coordinate), headline count {count + extra} ({extra})"
     )
-    return CheckResult("THM", n, len(zero) == count + extra and zeros == extra, detail)
+    return [*checks, CheckResult("THM", n, len(zero) == count + extra and zeros == extra, detail)]
 
 
 # Largest T3 workload ``verify_classification`` accepts, in the generator
@@ -231,9 +227,9 @@ def verify_classification(n_max: int) -> VerificationReport:
     Runs, for every n in 2..n_max: T1 catalog vs fresh enumeration, T2
     equivalence-chain collapse, T3 weight enumerator forms, T4 class
     counts against the census (with and without zero columns), and THM
-    headline counts where applicable.  A failing check becomes a report
-    entry; n_max < 7, or a T3 bound above ``VERIFY_BUDGET``, raises
-    ValueError before any check runs.
+    headline counts on T4's census where applicable.  A failing check
+    becomes a report entry; n_max < 7, or a T3 bound above
+    ``VERIFY_BUDGET``, raises ValueError before any check runs.
     """
     if n_max < 7:
         raise ValueError(f"n_max must be >= 7, got {n_max}")
@@ -253,8 +249,5 @@ def verify_classification(n_max: int) -> VerificationReport:
         plain = list(cls.census_forms(n, "optimal_lcd", False))
         zero = list(cls.census_forms(n, "optimal_lcd", True))
         walk = cls._window_forms(n)
-        checks.append(_check_classification(n, plain, zero, walk, cls._label_map(n)))
-        headline = _check_headline(n, plain, zero)
-        if headline is not None:
-            checks.append(headline)
+        checks += _check_classification(n, plain, zero, walk, cls._label_map(n))
     return VerificationReport(n_max, tuple(checks))

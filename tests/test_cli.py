@@ -941,14 +941,14 @@ def test_verify_at_the_longest_admitted_length_makes_the_same_checks_in_every_fo
 def test_verify_writes_a_failing_check_as_the_reference_renderer_does(capsys, monkeypatch):
     # A detail that csv.writer must quote and json.dumps must escape.
     detail = 'a "quoted" word, a back\\slash,\nan accent \u00e9'
-    check_headline = verify_module._check_headline
+    check_catalog = verify_module._check_catalog
 
-    def failing_at_11(n, plain, zero):
-        return CheckResult("THM", n, False, detail) if n == 11 else check_headline(n, plain, zero)
+    def failing_at_11(n, view):
+        return CheckResult("T1", n, False, detail) if n == 11 else check_catalog(n, view)
 
-    monkeypatch.setattr(verify_module, "_check_headline", failing_at_11)
+    monkeypatch.setattr(verify_module, "_check_catalog", failing_at_11)
     report = verify_classification(12)
-    assert [(c.id, c.n, c.detail) for c in report.failures()] == [("THM", 11, detail)]
+    assert [(c.id, c.n, c.detail) for c in report.failures()] == [("T1", 11, detail)]
     out = {}
     for fmt in ("text", "json", "csv"):
         rc, out[fmt], err = run_cli(capsys, "verify", "--n-max", "12", "--format", fmt)

@@ -13,7 +13,6 @@ from lcd2.linalg import (
     format_matrix,
     gram,
     hermitian_inner,
-    identity,
     mat,
     parse_matrix,
     rank,
@@ -49,7 +48,7 @@ def test_hermitian_inner_length_mismatch():
 
 
 def test_conj_transpose_examples():
-    assert conj_transpose(identity(2)) == identity(2)
+    assert conj_transpose(mat([[1, 0], [0, 1]])) == mat([[1, 0], [0, 1]])
     assert conj_transpose(mat([[W]])) == mat([[W2]])
     m = mat([[1, W, 0], [0, 1, W2]])
     assert conj_transpose(m) == mat([[1, 0], [W2, 1], [0, W]])
@@ -58,12 +57,12 @@ def test_conj_transpose_examples():
 
 
 def test_gram_examples():
-    assert gram(identity(2)) == identity(2)
+    assert gram(mat([[1, 0], [0, 1]])) == mat([[1, 0], [0, 1]])
     g = mat([[1, 1, 1], [1, 0, 0]])
     assert gram(g) == mat([[1, 1], [1, 1]])
     # the 7-column generator with all five column types once each
     g = parse_matrix("1,0,0,1,1,1,1;0,1,1,0,1,w,w2")
-    assert gram(g) == identity(2)
+    assert gram(g) == mat([[1, 0], [0, 1]])
     for i in range(2):
         for j in range(2):
             assert gram(g)[i][j] == hermitian_inner(g.rows[i], g.rows[j])
@@ -100,7 +99,7 @@ def brute_rank(m: Mat) -> int:
 
 
 def test_rank_examples():
-    assert rank(identity(2)) == 2
+    assert rank(mat([[1, 0], [0, 1]])) == 2
     assert rank(mat([[1, W], [W, W2]])) == 1  # second row is w times the first
     assert rank(mat([[0] * 5, [0] * 5])) == 0
 
@@ -115,7 +114,7 @@ def test_rank_against_span_enumeration():
 
 
 def test_det_examples():
-    assert det(identity(2)) == 1
+    assert det(mat([[1, 0], [0, 1]])) == 1
     assert det(Mat((), 0)) == 1
     assert det(mat([[1, 1], [1, 1]])) == 0
     assert det(mat([[1, W], [W2, 1]])) == 0  # 1*1 + w*w2 = 0
@@ -164,7 +163,8 @@ def test_rows_are_bytes_whatever_sequence_of_ints_builds_them():
         assert m == built[0] and hash(m) == hash(built[0])
         assert repr(m) == "Mat(rows=((1, 0, 2, 3), (0, 3, 1, 0)), ncols=4)"
         assert all(type(row) is bytes for row in m.rows)
-        assert m[1] == bytes((0, 3, 1, 0)) and m.column(2) == (2, 1)
+        assert m[1] == bytes((0, 3, 1, 0)) and list(zip(*m.rows))[2] == (2, 1)
+        assert str(m) == format_matrix(m) and list(m) == list(m.rows)
     assert Mat([], 4) == Mat((), 4) == mat([], ncols=4)
     assert repr(Mat([], 4)) == "Mat(rows=(), ncols=4)"
 
@@ -194,7 +194,7 @@ def test_mat_refuses_a_non_integer_equal_to_an_element(entry):
 
 
 def test_mat_reads_bools_as_0_and_1():
-    assert mat([[True, False], [False, True]]) == identity(2)
+    assert mat([[True, False], [False, True]]) == mat([[1, 0], [0, 1]])
 
 
 def test_mat_refuses_a_width_other_than_ncols():
@@ -232,7 +232,7 @@ def test_parse_matrix_reads_upper_case_and_blanks_around_tokens():
 
 def _with_zero_columns(rng, gen, zeros):
     """gen with ``zeros`` all-zero columns inserted at random positions."""
-    cols = gen.columns() + [(0,) * gen.nrows] * zeros
+    cols = list(zip(*gen.rows)) + [(0,) * gen.nrows] * zeros
     rng.shuffle(cols)
     return mat(list(zip(*cols)))
 
